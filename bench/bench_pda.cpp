@@ -106,8 +106,9 @@ void translation_only(benchmark::State& state) {
     }
 }
 
-/// Lazy setup cost alone: control states, move index, and the rule-free
-/// counting pass that sizes the interior pool — no rule is emitted.
+/// Lazy setup cost alone: control states, move index, and sizing the
+/// interior pool from the snapshot's translation index (built by the first
+/// iteration, memoized on the network after) — no rule is emitted.
 void translation_only_lazy(benchmark::State& state) {
     const auto instance = make_instance(static_cast<std::size_t>(state.range(0)));
     const auto query =

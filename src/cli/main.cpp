@@ -207,6 +207,9 @@ void print_explain(const verify::VerifyStats& stats) {
         else if (!phase.lazy_translation)
             std::cout << " (eager)";
         std::cout << "\n";
+        if (phase.lazy_translation)
+            std::cout << "    labels: " << phase.pda_labels_materialized
+                      << " (state, top label) pairs demanded\n";
         if (phase.truncated) std::cout << "    truncated: iteration cap hit\n";
     };
     std::cout << "  explain (total " << stats.total_seconds * 1000.0 << "ms):\n";

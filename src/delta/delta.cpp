@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/errors.hpp"
+#include "verify/translation.hpp"
 
 namespace aalwines::delta {
 
@@ -234,6 +235,10 @@ AppliedDelta apply_delta(const Network& base, const NetworkDelta& delta) {
     dedup(effects.state_links);
     dedup(effects.distance_links);
     effects.label_added = resolve.label_added;
+    // The copy inherits the base's translation index with only the rows
+    // this delta reaches recomputed, so no generation rebuilds it whole.
+    verify::TranslationIndex::carry_over(base, *copy, effects.entry_links,
+                                         effects.state_links);
     return {std::move(copy), std::move(effects)};
 }
 

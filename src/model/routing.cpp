@@ -74,6 +74,7 @@ RoutingEntry& RoutingTable::own_entry(Slot& slot) {
 void RoutingTable::add_rule(LinkId in_link, Label label, std::uint32_t priority,
                             LinkId out_link, std::vector<Op> ops) {
     if (priority == 0) throw model_error("rule priority must be >= 1");
+    _stamp.bump();
     auto* slot = find_slot(key_of(in_link, label));
     if (slot == nullptr) {
         if (_tail.size() >= k_tail_limit) compact();
@@ -87,6 +88,7 @@ void RoutingTable::add_rule(LinkId in_link, Label label, std::uint32_t priority,
 bool RoutingTable::remove_entry(LinkId in_link, Label label) {
     const auto* slot = find_slot(key_of(in_link, label));
     if (slot == nullptr) return false;
+    _stamp.bump();
     if (slot >= _tail.data() && slot < _tail.data() + _tail.size())
         _tail.erase(_tail.begin() + (slot - _tail.data()));
     else
@@ -106,6 +108,7 @@ std::size_t RoutingTable::remove_rule(LinkId in_link, Label label, LinkId out_li
     for (const auto& group : *slot->second)
         found += static_cast<std::size_t>(std::count_if(group.begin(), group.end(), matches));
     if (found == 0) return 0;
+    _stamp.bump();
     auto& entry_groups = own_entry(*slot);
     std::size_t removed = 0;
     bool any_left = false;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "model/label.hpp"
+#include "model/snapshot.hpp"
 #include "model/topology.hpp"
 
 namespace aalwines {
@@ -110,6 +111,9 @@ public:
     /// the in-link enters.  Throws model_error on violation.
     void validate(const Topology& topology) const;
 
+    /// Content stamp: changes with every mutation (see ContentStamp).
+    [[nodiscard]] std::uint64_t stamp() const noexcept { return _stamp.value(); }
+
 private:
     /// One (key, shared entry) pair; the entry handle is never null.
     using Slot = std::pair<std::uint64_t, std::shared_ptr<RoutingEntry>>;
@@ -133,6 +137,7 @@ private:
 
     std::vector<Slot> _sorted; ///< key-ascending
     std::vector<Slot> _tail;   ///< recent inserts, unsorted, bounded
+    ContentStamp _stamp;
 };
 
 /// A complete MPLS network: topology, label alphabet and routing function
@@ -142,6 +147,15 @@ struct Network {
     Topology topology;
     LabelTable labels;
     RoutingTable routing;
+    /// Data derived from this snapshot and memoized on it (the translation
+    /// index of src/verify/translation.hpp), keyed by content_key().
+    SnapshotMemo derived;
+
+    /// The content stamps `derived` is keyed by.  Label ids are never
+    /// re-typed, so minting a label changes nothing a memo depends on.
+    [[nodiscard]] SnapshotMemo::Key content_key() const noexcept {
+        return {routing.stamp(), topology.stamp()};
+    }
 };
 
 } // namespace aalwines

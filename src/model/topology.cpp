@@ -22,6 +22,7 @@ RouterId Topology::add_router(std::string_view name) {
     std::string key(name);
     if (_router_ids.contains(key))
         throw model_error("duplicate router name '" + key + "'");
+    _stamp.bump();
     const RouterId id = static_cast<RouterId>(_router_names.size());
     _router_ids.emplace(key, id);
     _router_names.push_back(std::move(key));
@@ -38,6 +39,7 @@ InterfaceId Topology::add_interface(RouterId router, std::string_view name) {
     auto& table = _router_interfaces[router];
     std::string key(name);
     if (auto it = table.find(key); it != table.end()) return it->second;
+    _stamp.bump();
     const InterfaceId id = static_cast<InterfaceId>(_interfaces.size());
     _interfaces.push_back({router, key});
     table.emplace(std::move(key), id);
@@ -53,6 +55,7 @@ LinkId Topology::add_link(RouterId source, InterfaceId source_interface,
     if (_interfaces.at(target_interface).router != target)
         throw model_error("interface does not belong to target router '" +
                           router_name(target) + "'");
+    _stamp.bump();
     const LinkId id = static_cast<LinkId>(_links.size());
     _links.push_back({id, source, target, source_interface, target_interface, distance});
     _out_links[source].push_back(id);
@@ -73,6 +76,7 @@ std::pair<LinkId, LinkId> Topology::add_duplex(RouterId a, std::string_view inte
 void Topology::set_coordinate(RouterId router, Coordinate coordinate) {
     AALWINES_CHECK(router < _coordinates.size(),
                    "unknown router id " + std::to_string(router));
+    _stamp.bump();
     _coordinates[router] = coordinate;
 }
 
@@ -83,6 +87,7 @@ std::optional<Coordinate> Topology::coordinate(RouterId router) const {
 }
 
 void Topology::distances_from_coordinates() {
+    _stamp.bump();
     for (auto& link : _links) {
         const auto a = _coordinates[link.source];
         const auto b = _coordinates[link.target];
@@ -93,10 +98,12 @@ void Topology::distances_from_coordinates() {
 
 void Topology::set_distance(LinkId link, std::uint64_t distance) {
     _links.at(link).distance = distance;
+    _stamp.bump();
 }
 
 void Topology::set_link_state(LinkId link, bool up) {
     if (link >= _links.size()) throw model_error("set_link_state: unknown link");
+    _stamp.bump();
     if (up && link >= _link_down.size()) return; // already up, keep sparse
     if (_link_down.size() < _links.size()) _link_down.resize(_links.size(), false);
     _link_down[link] = !up;

@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "model/snapshot.hpp"
 #include "util/errors.hpp"
 
 namespace aalwines {
@@ -116,6 +117,9 @@ public:
     /// Human-readable "Rsrc.if -> Rdst.if" form, for traces and diagnostics.
     [[nodiscard]] std::string describe_link(LinkId id) const;
 
+    /// Content stamp: changes with every mutation (see ContentStamp).
+    [[nodiscard]] std::uint64_t stamp() const noexcept { return _stamp.value(); }
+
 private:
     std::vector<std::string> _router_names;
     std::unordered_map<std::string, RouterId> _router_ids;
@@ -130,6 +134,7 @@ private:
     /// Sparse down-flags (empty = every link up); sized lazily on the first
     /// set_link_state so the common all-up topology stays allocation-free.
     std::vector<bool> _link_down;
+    ContentStamp _stamp;
 };
 
 } // namespace aalwines

@@ -18,29 +18,35 @@ void Pda::set_symbol_class(Symbol symbol, SymbolClass cls) {
 }
 
 void Pda::index_rule(RuleId id) {
-    const auto& rule = _rules[id];
+    auto& rule = _rules[id];
     auto& match = _match_by_state[rule.from];
+    std::uint32_t list = UINT32_MAX;
     switch (rule.pre.kind) {
         case PreSpec::Kind::Concrete: {
             const auto key = concrete_key(rule.from, rule.pre.symbol);
             const auto next = static_cast<std::uint32_t>(_rule_lists.size());
-            const auto [list, inserted] = _concrete_lists.try_emplace(key, next);
+            const auto [found, inserted] = _concrete_lists.try_emplace(key, next);
+            list = found;
             if (inserted) {
                 _rule_lists.emplace_back();
-                match.concrete.emplace_back(rule.pre.symbol, list);
+                // Keep the per-state list ascending by symbol: per-label
+                // demand creates lists in demand order, but set-labelled
+                // matching must visit them in one canonical order.
+                const auto at = std::lower_bound(
+                    match.concrete.begin(), match.concrete.end(), rule.pre.symbol,
+                    [](const auto& entry, Symbol symbol) { return entry.first < symbol; });
+                match.concrete.emplace(at, rule.pre.symbol, list);
             }
-            _rule_lists[list].push_back(id);
             break;
         }
         case PreSpec::Kind::Class: {
-            for (auto& [cls, list] : match.classes) {
-                if (cls != rule.pre.cls) continue;
-                _rule_lists[list].push_back(id);
-                return;
+            for (const auto& [cls, existing] : match.classes)
+                if (cls == rule.pre.cls) list = existing;
+            if (list == UINT32_MAX) {
+                list = static_cast<std::uint32_t>(_rule_lists.size());
+                _rule_lists.emplace_back();
+                match.classes.emplace_back(rule.pre.cls, list);
             }
-            const auto list = static_cast<std::uint32_t>(_rule_lists.size());
-            _rule_lists.emplace_back().push_back(id);
-            match.classes.emplace_back(rule.pre.cls, list);
             break;
         }
         case PreSpec::Kind::Any: {
@@ -48,10 +54,12 @@ void Pda::index_rule(RuleId id) {
                 match.any_list = static_cast<std::uint32_t>(_rule_lists.size());
                 _rule_lists.emplace_back();
             }
-            _rule_lists[match.any_list].push_back(id);
+            list = match.any_list;
             break;
         }
     }
+    rule.ord = static_cast<std::uint32_t>(_rule_lists[list].size());
+    _rule_lists[list].push_back(id);
 }
 
 RuleId Pda::add_rule(Rule rule) {
@@ -76,9 +84,6 @@ RuleId Pda::add_rule(Rule rule) {
         id = static_cast<RuleId>(_rules.size());
     }
     ++_rules_added;
-    if (_next_rule_ord.size() <= rule.from)
-        _next_rule_ord.resize(state_count(), 0);
-    rule.ord = _next_rule_ord[rule.from]++;
     if (const auto scalar = rule.weight.as_scalar()) {
         _max_scalar_weight = std::max(_max_scalar_weight, *scalar);
     } else {
@@ -132,7 +137,13 @@ void Pda::set_rule_provider(RuleProvider* provider, bool weights_scalar_hint) {
     AALWINES_ASSERT(_rules.empty(), "the provider must be attached before any rule");
     _provider = provider;
     _materialized.assign(state_count(), false);
-    _materialized_count = 0;
+    _touched.assign(state_count(), false);
+    _labels_demanded.assign(state_count(), 0);
+    _demand_epoch.assign(state_count(), 0);
+    _label_marks.clear();
+    _demanded_count = 0;
+    _full_count = 0;
+    _demanded_labels = 0;
     _all_weights_scalar = weights_scalar_hint;
     // The per-target index is filled incrementally by add_rule from now on.
     _swaps_into.assign(state_count(), {});
@@ -142,26 +153,104 @@ void Pda::set_rule_provider(RuleProvider* provider, bool weights_scalar_hint) {
 
 void Pda::mark_materialized(StateId state) {
     AALWINES_ASSERT(_provider != nullptr, "mark_materialized needs a rule provider");
+    set_materialized(state);
+}
+
+void Pda::set_materialized(StateId state) const {
     if (_materialized[state]) return;
     _materialized[state] = true;
-    ++_materialized_count;
+    ++_full_count;
+    touch(state);
+}
+
+void Pda::touch(StateId state) const {
+    if (_touched[state]) return;
+    _touched[state] = true;
+    ++_demanded_count;
     telemetry::count(telemetry::Counter::pda_states_materialized);
 }
 
 void Pda::materialize_state(StateId state) const {
     // Logically const: filling the memoized rule cache for one state.
     auto* self = const_cast<Pda*>(this); // NOLINT(cppcoreguidelines-pro-type-const-cast)
-    self->_materialized[state] = true;
-    ++self->_materialized_count;
+    set_materialized(state);
     // _rules_added, not _rules.size(): add_rule may be filling reused slots.
     const auto before = _rules_added;
     self->_provider->materialize_state(*self, state);
-    telemetry::count(telemetry::Counter::pda_states_materialized);
     telemetry::count(telemetry::Counter::pda_rules_materialized, _rules_added - before);
 }
 
-void Pda::prefetch_state(StateId state) const {
-    ensure_materialized(state);
+void Pda::demand_label(StateId state, const std::vector<Symbol>& labels,
+                       std::size_t index) const {
+    if (label_demanded(state, labels[index])) return;
+    auto* self = const_cast<Pda*>(this); // NOLINT(cppcoreguidelines-pro-type-const-cast)
+    _label_marks.insert_or_assign(concrete_key(state, labels[index]), _demand_epoch[state]);
+    touch(state);
+    ++_labels_demanded[state];
+    ++_demanded_labels;
+    const auto before = _rules_added;
+    self->_provider->materialize_label(*self, state, index);
+    telemetry::count(telemetry::Counter::pda_labels_materialized);
+    telemetry::count(telemetry::Counter::pda_rules_materialized, _rules_added - before);
+    if (_labels_demanded[state] == labels.size()) set_materialized(state);
+}
+
+void Pda::demand(StateId state, Symbol label) const {
+    if (label_demanded(state, label)) return; // the common repeat pop
+    touch(state);
+    const auto* labels = _provider->state_labels(state);
+    if (labels == nullptr) {
+        materialize_state(state);
+        return;
+    }
+    if (labels->empty()) {
+        set_materialized(state); // no rules at all
+        return;
+    }
+    // A symbol with no entry has no rules: nothing to mark, but the state
+    // stays touched — a delta adding that entry must reach this saturation.
+    const auto it = std::lower_bound(labels->begin(), labels->end(), label);
+    if (it != labels->end() && *it == label)
+        demand_label(state, *labels, static_cast<std::size_t>(it - labels->begin()));
+}
+
+void Pda::demand(StateId state, const nfa::SymbolSet& label) const {
+    touch(state);
+    const auto* labels = _provider->state_labels(state);
+    if (labels == nullptr) {
+        materialize_state(state);
+        return;
+    }
+    if (labels->empty()) {
+        set_materialized(state);
+        return;
+    }
+    // Ascending label order: the same (state, label) demand sequence as a
+    // run that met these labels one concrete pop at a time, in order.
+    if (label.mode() == nfa::SymbolSet::Mode::Include &&
+        label.symbols().size() <= labels->size()) {
+        for (const auto symbol : label.symbols()) {
+            const auto it = std::lower_bound(labels->begin(), labels->end(), symbol);
+            if (it != labels->end() && *it == symbol)
+                demand_label(state, *labels, static_cast<std::size_t>(it - labels->begin()));
+        }
+        return;
+    }
+    for (std::size_t i = 0; i < labels->size() && !_materialized[state]; ++i)
+        if (label.contains((*labels)[i])) demand_label(state, *labels, i);
+}
+
+void Pda::prefetch_state(StateId state, Symbol label) const {
+    ensure_materialized(state, label);
+    warm_class_sets(state);
+}
+
+void Pda::prefetch_state(StateId state, const nfa::SymbolSet& label) const {
+    ensure_materialized(state, label);
+    warm_class_sets(state);
+}
+
+void Pda::warm_class_sets(StateId state) const {
     // Warming a class set fills the mutable _class_sets cache — the write
     // the parallel expansion phase must never race on.
     for (const auto& [cls, list] : _match_by_state[state].classes) {
@@ -175,7 +264,15 @@ void Pda::materialize_all() const {
     // Chain interiors are filled (and marked) together with the control
     // state that owns their chain, so iterating every state in id order
     // leaves exactly the never-demanded pool states as no-ops.
-    for (StateId s = 0; s < state_count(); ++s) ensure_materialized(s);
+    for (StateId s = 0; s < state_count(); ++s) {
+        if (_materialized[s]) continue;
+        if (const auto* labels = _provider->state_labels(s)) {
+            for (std::size_t i = 0; i < labels->size(); ++i) demand_label(s, *labels, i);
+            set_materialized(s); // also covers a label-less state
+        } else {
+            materialize_state(s);
+        }
+    }
 }
 
 void Pda::build_target_index() const {
@@ -273,13 +370,20 @@ void Pda::invalidate_states(const std::vector<StateId>& heads,
         if (match.any_list != UINT32_MAX) drain(match.any_list);
     }
     std::size_t cleared = 0;
-    for (const auto s : dropped)
+    for (const auto s : dropped) {
+        if (!_touched[s]) continue;
+        _touched[s] = false;
         if (_materialized[s]) {
             _materialized[s] = false;
-            --_materialized_count;
-            ++cleared;
-            if (s < _next_rule_ord.size()) _next_rule_ord[s] = 0;
+            --_full_count;
         }
+        // Bumping the epoch clears every (s, label) demand mark at once.
+        _demanded_labels -= _labels_demanded[s];
+        _labels_demanded[s] = 0;
+        ++_demand_epoch[s];
+        --_demanded_count;
+        ++cleared;
+    }
     // Tombstone the dead slots for reuse, then strip them from the touched
     // per-target lists — one order-preserving pass per distinct target.  The
     // scalar flag stays the provider's declared hint and _max_scalar_weight

@@ -16,6 +16,7 @@
 // decisions.
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -65,14 +66,24 @@ struct Rule {
     Symbol label2 = k_no_symbol; ///< Push: symbol below top (or k_same_symbol)
     Weight weight = Weight::one();
     std::uint32_t tag = UINT32_MAX; ///< caller-defined; UINT32_MAX = internal
-    /// Ordinal of this rule among the rules emitted from `from`, assigned by
-    /// add_rule (caller-supplied values are overwritten).  Per-state emission
-    /// sequences are canonical — identical across eager builds, lazy
-    /// materialization order, and rebase re-materialization — so
-    /// (from, ord) is a stable rule identity where the global RuleId is not
-    /// (lazy materialization permutes id blocks between runs).  The solver's
-    /// canonical witness tie-breaking keys on it.
+    /// Position of this rule among the rules leaving `from` with the same
+    /// precondition, assigned by add_rule (caller-supplied values are
+    /// overwritten).  Each (from, precondition) sequence is emitted whole
+    /// and in a canonical order — by an eager build, by whole-state or
+    /// per-label lazy demand in any order, and again after a rebase — so
+    /// (from, pre, ord) is a stable rule identity where the global RuleId is
+    /// not (lazy materialization permutes id blocks between runs).  The
+    /// solver's canonical witness tie-breaking keys on it.
     std::uint32_t ord = 0;
+};
+
+/// Run-independent rule identity, ordered (from, precondition, ord); see
+/// Pda::rule_canonical_key.
+struct RuleKey {
+    StateId from = 0;
+    std::uint64_t pre = 0; ///< PreSpec kind in the high word, symbol/class below
+    std::uint32_t ord = 0;
+    auto operator<=>(const RuleKey&) const = default;
 };
 
 class Pda;
@@ -80,8 +91,11 @@ class Pda;
 /// Demand-driven rule source (the lazy network→PDA translation).  A PDA with
 /// a provider attached starts rule-less; the first time saturation asks for a
 /// state's outgoing rules (`for_each_applicable`) the provider is invoked to
-/// emit exactly that state's rules via `Pda::add_rule`.  Contract:
-///   - every state is materialized at most once (the PDA tracks a bitmap);
+/// emit them via `Pda::add_rule` — all of the state's rules, or, for a state
+/// the provider declares label-granular, only those for the demanded top
+/// labels.  Contract:
+///   - every state (every (state, label) pair, when label-granular) is
+///     materialized at most once — the PDA tracks the demands;
 ///   - the provider may fill *other* states as a side effect (an op chain's
 ///     interior states are emitted together with the chain) and must mark
 ///     them with `Pda::mark_materialized` so they are not asked again;
@@ -91,8 +105,25 @@ class Pda;
 class RuleProvider {
 public:
     virtual ~RuleProvider() = default;
-    /// Emit every rule whose from-state is `state` (pda.add_rule).
+    /// Emit every rule whose from-state is `state` (pda.add_rule).  Never
+    /// called for a label-granular state.
     virtual void materialize_state(Pda& pda, StateId state) = 0;
+    /// Label granularity.  A non-null result declares that every rule
+    /// leaving `state` has a concrete precondition drawn from the returned
+    /// ascending, duplicate-free list; the PDA then demands the state one
+    /// list entry at a time through materialize_label, so a pop with top γ
+    /// pays for γ's rules only.  nullptr (the default): whole-state demand.
+    [[nodiscard]] virtual const std::vector<Symbol>* state_labels(StateId state) const {
+        (void)state;
+        return nullptr;
+    }
+    /// Emit every rule leaving `state` whose precondition is
+    /// `(*state_labels(state))[index]`, in canonical order.
+    virtual void materialize_label(Pda& pda, StateId state, std::size_t index) {
+        (void)pda;
+        (void)state;
+        (void)index;
+    }
 };
 
 class Pda {
@@ -101,15 +132,23 @@ public:
     explicit Pda(Symbol alphabet_size) : _alphabet_size(alphabet_size) {}
 
     StateId add_state() {
-        _match_by_state.emplace_back();
+        add_states(1);
+        return static_cast<StateId>(_match_by_state.size() - 1);
+    }
+    /// Append `count` states at once (ids state_count() onwards).
+    void add_states(std::size_t count) {
+        const auto total = _match_by_state.size() + count;
+        _match_by_state.resize(total);
         if (_provider != nullptr) {
             // Keep the lazy bookkeeping in step (only legal while no rule
-            // references the new state yet — see RuleProvider contract).
-            _materialized.push_back(false);
-            _swaps_into.emplace_back();
-            _pushes_into.emplace_back();
+            // references the new states yet — see RuleProvider contract).
+            _materialized.resize(total, false);
+            _touched.resize(total, false);
+            _labels_demanded.resize(total, 0);
+            _demand_epoch.resize(total, 0);
+            _swaps_into.resize(total);
+            _pushes_into.resize(total);
         }
-        return static_cast<StateId>(_match_by_state.size() - 1);
     }
 
     /// Capacity hints for bulk construction (the translation knows its
@@ -142,12 +181,20 @@ public:
     /// Raw slot array — includes stale data in dead slots (see rule_dead).
     [[nodiscard]] const std::vector<Rule>& rules() const noexcept { return _rules; }
 
-    /// Run-independent rule identity: (from state, per-state emission
-    /// ordinal) packed into one sortable 64-bit key.  Equal-weight witness
-    /// tie-breaks prefer the smallest key (see pautomaton.hpp).
-    [[nodiscard]] std::uint64_t rule_canonical_key(RuleId id) const {
+    /// Run-independent rule identity: (from state, precondition, position
+    /// among the rules of that state and precondition).  Equal-weight
+    /// witness tie-breaks prefer the smallest key (see pautomaton.hpp).
+    /// Within one state the order is the eager emission order: a
+    /// translation emits a control state's rules label by label, ascending.
+    [[nodiscard]] RuleKey rule_canonical_key(RuleId id) const {
         const Rule& r = _rules[id];
-        return (static_cast<std::uint64_t>(r.from) << 32) | r.ord;
+        std::uint64_t pre = static_cast<std::uint64_t>(r.pre.kind) << 32;
+        switch (r.pre.kind) {
+            case PreSpec::Kind::Concrete: pre |= r.pre.symbol; break;
+            case PreSpec::Kind::Class: pre |= r.pre.cls; break;
+            case PreSpec::Kind::Any: break;
+        }
+        return {r.from, pre, r.ord};
     }
 
     [[nodiscard]] SymbolClass class_of(Symbol symbol) const {
@@ -162,7 +209,8 @@ public:
 
     /// Invoke `fn(rule_id, matched)` for every rule from `state` applicable
     /// to some symbol of `label`; `matched` is the (non-empty) subset of
-    /// `label` the rule fires on.
+    /// `label` the rule fires on.  Concrete-precondition rules are visited
+    /// by ascending symbol, then class rules, then any-rules.
     template <typename Fn>
     void for_each_applicable(StateId state, const nfa::SymbolSet& label, Fn&& fn) const;
 
@@ -177,23 +225,26 @@ public:
     /// Un-materialize states of a lazy PDA: drop every rule leaving a state
     /// in `heads` — following chains, i.e. also dropping the rules of any
     /// state reached through a rule target for which `owned(target)` holds —
-    /// and clear the materialized flags so the provider is asked again on
-    /// next demand.  Cost is O(dropped rules), not O(all rules): dropped
-    /// slots are tombstoned onto a free list (add_rule reuses them), their
-    /// match lists are emptied in place (list slots and (state, symbol) keys
-    /// survive, so re-emission lands in the same lists in the same order),
-    /// and per-state ordinal counters restart — a provider that re-emits
-    /// identical per-state rule sequences therefore reproduces the original
-    /// Rule::ord values, which is what keeps incremental re-verification
-    /// byte-identical to a cold run.  Surviving rule ids are NOT renumbered.
+    /// and clear the materialized flags and per-label demand marks so the
+    /// provider is asked again on next demand.  Cost is O(dropped rules),
+    /// not O(all rules): dropped slots are tombstoned onto a free list
+    /// (add_rule reuses them), their match lists are emptied in place (list
+    /// slots and (state, symbol) keys survive, so re-emission lands in the
+    /// same lists in the same order and Rule::ord — the position within
+    /// the list — restarts at 0).  A provider that re-emits identical
+    /// sequences therefore reproduces the original Rule::ord values, which
+    /// is what keeps incremental re-verification byte-identical to a cold
+    /// run.  Surviving rule ids are NOT renumbered.
     /// The scalar-weight hint declared at set_rule_provider is retained.
     /// The delta subsystem's frontier re-saturation is the only caller.
     void invalidate_states(const std::vector<StateId>& heads,
                            const std::function<bool(StateId)>& owned);
 
-    /// Whether `state`'s outgoing rules exist (always true when eager).
-    [[nodiscard]] bool is_materialized(StateId state) const {
-        return _provider == nullptr || _materialized[state];
+    /// Whether saturation asked for any of `state`'s outgoing rules — the
+    /// whole state, or some top labels of a label-granular one, including
+    /// labels the state has no rules for (the answer "none" was read too).
+    [[nodiscard]] bool is_demanded(StateId state) const {
+        return _provider == nullptr || _touched[state];
     }
 
     /// Swap rules p γ → q γ' with q == `target`; built once per PDA (lazily,
@@ -244,13 +295,16 @@ public:
     /// (chain interiors).
     void mark_materialized(StateId state);
 
-    /// Warm every lazily-built structure a read of `state`'s rules touches:
-    /// materializes the state (lazy mode) and builds the class-set cache
-    /// entries its class rules consult.  After this, `for_each_applicable`
-    /// on the state is a pure read — the parallel solver prefetches its
-    /// round's frontier states serially so the expansion phase can run the
-    /// match index from many threads without synchronization.
-    void prefetch_state(StateId state) const;
+    /// Warm every lazily-built structure a read of `state`'s rules for top
+    /// symbol(s) `label` touches: materializes the rules (lazy mode: the
+    /// state, or the demanded labels of a label-granular one) and builds the
+    /// class-set cache entries its class rules consult.  After this,
+    /// `for_each_applicable(state, label, …)` is a pure read — the parallel
+    /// solver prefetches its round's frontier serially so the expansion
+    /// phase can run the match index from many threads without
+    /// synchronization.
+    void prefetch_state(StateId state, Symbol label) const;
+    void prefetch_state(StateId state, const nfa::SymbolSet& label) const;
 
     /// Demand every remaining state's rules (no-op without a provider).
     /// Logically const: materialization is memoized evaluation of the fixed
@@ -258,12 +312,18 @@ public:
     /// (expand_concrete, reduction, serialization) need this eager fallback.
     void materialize_all() const;
 
-    /// States whose outgoing rules exist (== state_count() when eager).
+    /// States with demanded outgoing rules (is_demanded; == state_count()
+    /// when eager).
     [[nodiscard]] std::size_t materialized_state_count() const noexcept {
-        return _provider != nullptr ? _materialized_count : state_count();
+        return _provider != nullptr ? _demanded_count : state_count();
+    }
+    /// Distinct (state, label) pairs demanded from label-granular states
+    /// (0 when eager).
+    [[nodiscard]] std::size_t demanded_label_count() const noexcept {
+        return _demanded_labels;
     }
     [[nodiscard]] bool fully_materialized() const noexcept {
-        return materialized_state_count() == state_count();
+        return _provider == nullptr || _full_count == state_count();
     }
 
 private:
@@ -272,7 +332,8 @@ private:
     /// the vectors here only exist so set-labelled matching can enumerate a
     /// state's distinct symbols/classes without hash-map iteration.
     struct StateMatch {
-        std::vector<std::pair<Symbol, std::uint32_t>> concrete; ///< (symbol, list id)
+        /// (symbol, list id), ascending by symbol whatever the emission order.
+        std::vector<std::pair<Symbol, std::uint32_t>> concrete;
         std::vector<std::pair<SymbolClass, std::uint32_t>> classes;
         std::uint32_t any_list = UINT32_MAX;
     };
@@ -282,12 +343,32 @@ private:
     }
     void index_rule(RuleId id);
 
-    /// Lazy-mode fast path: materialize `state`'s rules on first demand.
-    /// Must run before any read of the state's match index.
-    void ensure_materialized(StateId state) const {
-        if (_provider != nullptr && !_materialized[state]) materialize_state(state);
+    /// Lazy-mode fast paths: materialize the rules a read of `state` with
+    /// top symbol(s) `label` needs, on first demand.  Must run before any
+    /// such read of the state's match index.
+    void ensure_materialized(StateId state, Symbol label) const {
+        if (_provider != nullptr && !_materialized[state]) demand(state, label);
     }
-    void materialize_state(StateId state) const; ///< slow path of the above
+    void ensure_materialized(StateId state, const nfa::SymbolSet& label) const {
+        if (_provider != nullptr && !_materialized[state]) demand(state, label);
+    }
+    /// Slow paths of the above: label-granular states demand the matching
+    /// labels (pure reads when all were demanded before), other states
+    /// materialize whole.
+    void demand(StateId state, Symbol label) const;
+    void demand(StateId state, const nfa::SymbolSet& label) const;
+    /// Demand entry `index` of `labels` (== state_labels(state)) unless done.
+    void demand_label(StateId state, const std::vector<Symbol>& labels,
+                      std::size_t index) const;
+    [[nodiscard]] bool label_demanded(StateId state, Symbol label) const {
+        return _label_marks.find(concrete_key(state, label)) == _demand_epoch[state];
+    }
+    void materialize_state(StateId state) const; ///< whole-state demand
+    void warm_class_sets(StateId state) const;   ///< see prefetch_state
+    /// Flag `state` whole-materialized (first demand counts it).
+    void set_materialized(StateId state) const;
+    /// Record that saturation asked for some of `state`'s rules.
+    void touch(StateId state) const;
 
     Symbol _alphabet_size;
     std::vector<Rule> _rules;
@@ -305,16 +386,23 @@ private:
     mutable std::vector<std::vector<RuleId>> _swaps_into;
     mutable std::vector<std::vector<RuleId>> _pushes_into;
     RuleProvider* _provider = nullptr;
-    mutable std::vector<bool> _materialized; ///< per state, lazy mode only
-    mutable std::size_t _materialized_count = 0;
-    /// Next Rule::ord per from-state (grown on demand by add_rule; reset per
-    /// state by invalidate_states so re-materialization reproduces ordinals).
-    std::vector<std::uint32_t> _next_rule_ord;
+    // Lazy-mode demand bookkeeping, per state unless noted.
+    mutable std::vector<bool> _materialized; ///< all outgoing rules exist
+    mutable std::vector<bool> _touched;      ///< is_demanded
+    mutable std::vector<std::uint32_t> _labels_demanded; ///< granular: labels done
+    /// Granular: a (state, label) pair is demanded iff `_label_marks` maps
+    /// it to the state's current epoch; invalidate_states bumps the epoch,
+    /// which clears every mark of the state at once.
+    mutable std::vector<std::uint32_t> _demand_epoch;
+    mutable util::FlatMap64 _label_marks;
+    mutable std::size_t _demanded_count = 0; ///< states touched
+    mutable std::size_t _full_count = 0;     ///< states with _materialized set
+    mutable std::size_t _demanded_labels = 0; ///< live (state, label) marks
 };
 
 template <typename Fn>
 void Pda::for_each_applicable(StateId state, Symbol symbol, Fn&& fn) const {
-    ensure_materialized(state);
+    ensure_materialized(state, symbol);
     const auto& match = _match_by_state[state];
     const bool has_class_rules = !match.classes.empty() && class_of(symbol) != k_no_class;
     const auto concrete_list = _concrete_lists.find(concrete_key(state, symbol));
@@ -336,7 +424,7 @@ void Pda::for_each_applicable(StateId state, Symbol symbol, Fn&& fn) const {
 
 template <typename Fn>
 void Pda::for_each_applicable(StateId state, const nfa::SymbolSet& label, Fn&& fn) const {
-    ensure_materialized(state);
+    ensure_materialized(state, label);
     const auto& match = _match_by_state[state];
     using Mode = nfa::SymbolSet::Mode;
     // Concrete-pre rules.

@@ -289,8 +289,9 @@ AALWINES_HOT_PATH void post_star_loop(PAutomaton& aut, const SolverOptions& opti
                     }
                 };
                 // On a lazy PDA this pop is what demands trans.from's rules:
-                // the first finalized transition out of a control state
-                // materializes its outgoing rules (and only then).
+                // the first finalized transition out of a control state with
+                // a given top label materializes the rules for that label
+                // (the whole state, when the provider is not label-granular).
                 if (trans.label.is_concrete())
                     pda.for_each_applicable(trans.from, trans.label.concrete, apply);
                 else
@@ -704,8 +705,12 @@ private:
             if (!_post) continue; // pre* warmed everything up front
             for (const auto& item : sh.drained) {
                 if (item.is_eps) continue;
-                const StateId from = _aut._transitions[item.id].from;
-                if (_aut.is_control_state(from)) _pda.prefetch_state(from);
+                const Transition& trans = _aut._transitions[item.id];
+                if (!_aut.is_control_state(trans.from)) continue;
+                if (trans.label.is_concrete())
+                    _pda.prefetch_state(trans.from, trans.label.concrete);
+                else
+                    _pda.prefetch_state(trans.from, trans.label.set);
             }
         }
         telemetry::observe(telemetry::Histogram::saturation_frontier, frontier);

@@ -196,6 +196,9 @@ void Server::worker_loop() {
             _queue.pop_front();
         }
         serve_connection(pending);
+        // Serve mode exports no trace, so a worker's spans are dead weight
+        // once its request is answered.
+        telemetry::discard_thread_spans();
     }
 }
 

@@ -20,6 +20,7 @@ std::string_view name_of(Counter counter) {
         case Counter::pda_rules_total: return "pda_rules_total";
         case Counter::pda_rules_materialized: return "pda_rules_materialized";
         case Counter::pda_states_materialized: return "pda_states_materialized";
+        case Counter::pda_labels_materialized: return "pda_labels_materialized";
         case Counter::reduction_rules_pruned: return "reduction_rules_pruned";
         case Counter::post_star_pops: return "post_star_pops";
         case Counter::pre_star_pops: return "pre_star_pops";
@@ -336,6 +337,14 @@ void Registry::reset() {
 Snapshot snapshot() { return Registry::global().snapshot(); }
 
 void reset() { Registry::global().reset(); }
+
+void discard_thread_spans() {
+#if AALWINES_TELEMETRY_ENABLED
+    auto& buf = detail::buffer();
+    const util::MutexLock lock(buf.span_mutex);
+    if (buf.current < 0) buf.spans.clear();
+#endif
+}
 
 namespace {
 

@@ -46,6 +46,7 @@ enum class Counter : std::uint32_t {
     pda_rules_total,        ///< rules an eager translation would emit (pre-reduction)
     pda_rules_materialized, ///< rules demand-materialized during lazy saturation
     pda_states_materialized,///< states whose outgoing rules were demanded (lazy)
+    pda_labels_materialized,///< distinct (state, top label) demands (lazy, per-label)
     reduction_rules_pruned, ///< rules removed by the top-of-stack reduction
     post_star_pops,         ///< post* worklist items finalized
     pre_star_pops,          ///< pre* worklist items finalized
@@ -339,6 +340,12 @@ private:
 /// Shorthands over the global registry.
 [[nodiscard]] Snapshot snapshot();
 void reset();
+
+/// Drop the calling thread's completed spans, unless one is still open.
+/// For long-lived workers whose span history nothing reads (the daemon's
+/// request workers): without it their buffers grow by every span of every
+/// request served.  Counters, gauges and histograms are untouched.
+void discard_thread_spans();
 
 /// Serialise a snapshot as the `aalwines-trace-2` JSON document.
 [[nodiscard]] std::string to_json(const Snapshot& snap, int indent = 2);

@@ -142,6 +142,7 @@ PhaseOutcome run_post_star_phase(const Network& network, const query::Query& que
     outcome.stats.pda_rules_total = translation.total_rules();
     outcome.stats.pda_rules_materialized = translation.pda().rule_count();
     outcome.stats.pda_states_materialized = translation.pda().materialized_state_count();
+    outcome.stats.pda_labels_materialized = translation.pda().demanded_label_count();
     if (translation.lazy() && outcome.stats.pda_rules_total > 0)
         telemetry::observe(telemetry::Histogram::materialized_rule_pct,
                            100 * outcome.stats.pda_rules_materialized /

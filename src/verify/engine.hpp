@@ -111,9 +111,12 @@ struct PhaseStats {
     /// reduction); with a lazy translation `pda_rules_materialized` /
     /// `pda_states_materialized` are the subset saturation actually
     /// demanded, and equal the full counts when eager.
+    /// `pda_labels_materialized` counts the distinct (control state, top
+    /// label) pairs a lazy pass demanded (0 when eager).
     std::size_t pda_rules_total = 0;
     std::size_t pda_rules_materialized = 0;
     std::size_t pda_states_materialized = 0;
+    std::size_t pda_labels_materialized = 0;
     bool lazy_translation = false;
     double seconds = 0.0;
     /// Wall-clock split of `seconds` by pipeline stage (dual/weighted

@@ -100,6 +100,7 @@ VerifyResult exact_verify(const Network& network, const query::Query& query,
         result.stats.over.pda_rules_materialized += translation.pda().rule_count();
         result.stats.over.pda_states_materialized +=
             translation.pda().materialized_state_count();
+        result.stats.over.pda_labels_materialized += translation.pda().demanded_label_count();
         result.stats.over.lazy_translation = translation.lazy();
         result.stats.over.saturation_iterations += sat_stats.iterations;
         result.stats.over.automaton_transitions += sat_stats.transitions + sat_stats.epsilons;

@@ -62,6 +62,7 @@ MopedPhaseOutcome run_pre_star_phase(const Network& network, const query::Query&
     outcome.stats.pda_rules_total = translation.total_rules();
     outcome.stats.pda_rules_materialized = translation.pda().rule_count();
     outcome.stats.pda_states_materialized = translation.pda().materialized_state_count();
+    outcome.stats.pda_labels_materialized = translation.pda().demanded_label_count();
 
     auto automaton =
         translation.make_final_automaton(backend, /*concrete_edges=*/true);

@@ -135,7 +135,10 @@ SweepResult run_sweep(const Network& network, const SweepSpec& spec,
     const auto& scenarios = spec.scenarios.empty() ? one_scenario : spec.scenarios;
 
     // Scenario snapshots resolve up front (model_error on unknown names
-    // before any verification runs) and are shared by every chain.
+    // before any verification runs) and are shared by every chain.  With
+    // the base's translation index built first, every scenario snapshot
+    // carries it over, recomputing only the rows its failed links reach.
+    (void)TranslationIndex::of(network);
     const auto scenario_states = build_scenarios(network, scenarios);
 
     const std::size_t n_scenarios = scenarios.size();

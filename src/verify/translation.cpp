@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
@@ -91,11 +92,25 @@ Translation::Translation(const Network& network, const query::Query& query,
     for (Label label = 0; label < network.labels.size(); ++label)
         _pda->set_symbol_class(label, class_id(network.labels.type_of(label)));
 
+    _index = TranslationIndex::of(network);
     build_control_states();
     build_move_index();
     if (_options.lazy) {
         _lazy = true;
-        build_lazy_index();
+        AALWINES_SPAN("size_lazy_pool");
+        // Pre-allocate the chain-interior pool: materialization must never
+        // add PDA states (the P-automaton's helper states share the id
+        // space), so every interior an eager build would create exists up
+        // front.  The index's shapes are exact, which the equivalence tests
+        // pin down by asserting the pool is fully consumed after
+        // materialize_all().
+        std::size_t interiors = 0;
+        for (LinkId l = 0; l < _index->link_count(); ++l) {
+            const auto load = link_load(*_index, l);
+            _total_rules += load.rules;
+            interiors += load.interiors;
+        }
+        grow_pool(interiors);
         // The bucketed-worklist decision is made before any rule exists, so
         // declare up front whether every step weight will be scalar: the
         // weight vector's arity is fixed by the expression (≤ 1 component ⇒
@@ -203,10 +218,11 @@ void Translation::build_move_index() {
                 _moves_by_link[link].emplace_back(q, edge.target);
 }
 
+namespace {
 /// Counting sink for walk_chain: tallies the rules and interior states a
 /// chain would create without touching the PDA.  Must mirror EmitSink's
 /// control flow exactly — the lazy interior pool is sized from these counts.
-struct Translation::CountSink {
+struct CountSink {
     std::size_t rules = 0;
     std::size_t interiors = 0;
     void step(std::size_t /*index*/, bool last) {
@@ -218,34 +234,13 @@ struct Translation::CountSink {
     }
 };
 
-/// Emitting sink for walk_chain: allocates interior states (from the lazy
-/// pool or by growing the PDA) and adds the rules.  The step weight and
-/// trace tag ride on the first rule of the chain only.
-struct Translation::EmitSink {
-    Translation& t;
-    pda::StateId from;
-    pda::StateId target;
-    pda::Weight weight;
-    std::uint32_t tag;
-    pda::StateId to = 0;
-    std::size_t index = 0;
-
-    void step(std::size_t i, bool last) {
-        index = i;
-        if (i > 0) from = to;
-        to = last ? target : t.new_chain_state();
-    }
-    void rule(pda::PreSpec pre, pda::Rule::OpKind op, pda::Symbol l1, pda::Symbol l2) {
-        t._pda->add_rule({from, to, pre, op, l1, l2,
-                          index == 0 ? weight : pda::Weight::one(),
-                          index == 0 ? tag : UINT32_MAX});
-    }
-};
-
+/// Walk one op chain, driving `sink.step(index, last)` before each op and
+/// `sink.rule(pre, op, l1, l2)` per emitted rule — the single source of
+/// truth for chain shape, shared by emission (Translation::EmitSink) and the
+/// index's counting (CountSink), so lazy totals match eager emission
+/// rule-for-rule.
 template <typename Sink>
-void Translation::walk_chain(Label top, const std::vector<Op>& ops, Sink& sink) const {
-    const auto& labels = _network->labels;
-
+void walk_chain(const LabelTable& labels, Label top, const std::vector<Op>& ops, Sink& sink) {
     // Pre-check the statically-known prefix so we do not emit half a chain.
     {
         TopDescriptor d = TopDescriptor::of(top);
@@ -274,7 +269,7 @@ void Translation::walk_chain(Label top, const std::vector<Op>& ops, Sink& sink) 
         // The interior state (when not last) is allocated before the
         // applicability check, matching the historical emission order —
         // chains that die mid-walk still consume their interiors, and the
-        // counting pass must agree on that.
+        // index's chain shapes must agree on that.
         sink.step(i, i + 1 == ops.size());
 
         if (desc.is_known()) {
@@ -357,6 +352,52 @@ void Translation::walk_chain(Label top, const std::vector<Op>& ops, Sink& sink) 
     }
 }
 
+/// Invoke `fn(rule, local_failures)` for every forwarding rule of the entry
+/// that may fire under the Over/Under approximations, whatever the failure
+/// budget: administratively-down links are failed for free in every
+/// scenario — packets never arrive on one, rules never forward over one,
+/// and a fully-down group is skipped without charging the budget — so a
+/// rule's local failures count the distinct up out-links of the groups
+/// above it.
+template <typename RuleFn>
+void for_up_rules(const Topology& topology, LinkId in_link, const RoutingEntry& groups,
+                  RuleFn&& fn) {
+    if (!topology.link_up(in_link)) return;
+    std::set<LinkId> higher_priority_links;
+    for (const auto& group : groups) {
+        const auto local_failures = static_cast<std::uint32_t>(higher_priority_links.size());
+        for (const auto& rule : group)
+            if (topology.link_up(rule.out_link)) fn(rule, local_failures);
+        for (const auto& rule : group)
+            if (topology.link_up(rule.out_link)) higher_priority_links.insert(rule.out_link);
+    }
+}
+} // namespace
+
+/// Emitting sink for walk_chain: allocates interior states (from the lazy
+/// pool or by growing the PDA) and adds the rules.  The step weight and
+/// trace tag ride on the first rule of the chain only.
+struct Translation::EmitSink {
+    Translation& t;
+    pda::StateId from;
+    pda::StateId target;
+    pda::Weight weight;
+    std::uint32_t tag;
+    pda::StateId to = 0;
+    std::size_t index = 0;
+
+    void step(std::size_t i, bool last) {
+        index = i;
+        if (i > 0) from = to;
+        to = last ? target : t.new_chain_state();
+    }
+    void rule(pda::PreSpec pre, pda::Rule::OpKind op, pda::Symbol l1, pda::Symbol l2) {
+        t._pda->add_rule({from, to, pre, op, l1, l2,
+                          index == 0 ? weight : pda::Weight::one(),
+                          index == 0 ? tag : UINT32_MAX});
+    }
+};
+
 pda::StateId Translation::new_chain_state() {
     if (_lazy) {
         // Saturation has already handed out P-automaton helper ids above
@@ -379,75 +420,67 @@ void Translation::build_rules() {
     // Upper-bound the rule count (ignores failure-budget pruning and dead
     // chains) so the rule vector and its match indexes allocate once.
     std::size_t estimated_rules = 0;
-    _network->routing.for_each([&](LinkId, Label, const RoutingEntry& groups) {
-        for (const auto& group : groups)
-            for (const auto& rule : group)
-                estimated_rules += _moves_by_link[rule.out_link].size() *
-                                   std::max<std::size_t>(rule.ops.size(), 1);
-    });
+    for (LinkId l = 0; l < _index->link_count(); ++l)
+        for (const auto* groups : _index->row(l).entries)
+            for (const auto& group : *groups)
+                for (const auto& rule : group)
+                    estimated_rules += _moves_by_link[rule.out_link].size() *
+                                       std::max<std::size_t>(rule.ops.size(), 1);
     _pda->reserve_rules(estimated_rules * _failure_slots);
 
-    _network->routing.for_each([this](LinkId in_link, Label label, const RoutingEntry& groups) {
-        add_entry_rules(in_link, label, groups);
-    });
+    for (LinkId l = 0; l < _index->link_count(); ++l) {
+        const auto& row = _index->row(l);
+        for (std::size_t i = 0; i < row.labels.size(); ++i)
+            add_entry_rules(l, row.labels[i], *row.entries[i]);
+    }
 }
 
-void Translation::build_entry_index() {
-    const auto n_links = _network->topology.link_count();
-    _links_into.clear();
-    _entries_by_link.assign(n_links, {});
-    _network->routing.for_each([&](LinkId in_link, Label label, const RoutingEntry& groups) {
-        _entries_by_link[in_link].emplace_back(label, &groups);
-    });
-}
-
-void Translation::count_link(LinkId in_link, LinkLoad& load) const {
+Translation::LinkLoad Translation::link_load(const TranslationIndex& index,
+                                             LinkId in_link) const {
+    LinkLoad load;
     const auto k = _query->max_failures;
-    for (const auto& [label, entry] : _entries_by_link[in_link]) {
-        for_entry_rules(in_link, *entry,
-                        [&](const ForwardingRule& rule, std::uint64_t local_failures) {
-            // One rule-free chain walk per (entry, forwarding rule): the
-            // chain's shape depends only on (top label, ops), so its counts
-            // multiply across the path-NFA moves and failure slots.
-            CountSink counts;
-            walk_chain(label, rule.ops, counts);
-            std::size_t slots = 1;
-            if (_options.approximation == Approximation::Under)
-                slots = static_cast<std::size_t>(k - local_failures) + 1;
-            const auto copies = _moves_by_link[rule.out_link].size() * slots;
-            load.rules += counts.rules * copies;
-            load.interiors += counts.interiors * copies;
-        });
+    if (_options.approximation == Approximation::Exact) {
+        const auto& row = index.row(in_link);
+        for (std::size_t i = 0; i < row.labels.size(); ++i) {
+            for_entry_rules(in_link, *row.entries[i],
+                            [&](const ForwardingRule& rule, std::uint64_t) {
+                CountSink counts;
+                walk_chain(_network->labels, row.labels[i], rule.ops, counts);
+                const auto copies = _moves_by_link[rule.out_link].size();
+                load.rules += counts.rules * copies;
+                load.interiors += counts.interiors * copies;
+            });
+        }
+        return load;
     }
+    // A chain's shape depends only on (top label, ops), so its counts
+    // multiply across the path-NFA moves over its out-link and the failure
+    // slots its local failures leave (Under: f + local ≤ k).
+    for (const auto& shape : index.row(in_link).loads) {
+        if (shape.local_failures > k) continue;
+        std::size_t slots = 1;
+        if (_options.approximation == Approximation::Under)
+            slots = static_cast<std::size_t>(k - shape.local_failures) + 1;
+        const auto copies = _moves_by_link[shape.out_link].size() * slots;
+        load.rules += shape.rules * copies;
+        load.interiors += shape.interiors * copies;
+    }
+    return load;
 }
 
-void Translation::build_lazy_index() {
-    AALWINES_SPAN("build_lazy_index");
-    build_entry_index();
-    const auto n_links = _network->topology.link_count();
-    _link_load.assign(n_links, {});
-    std::size_t total_rules = 0;
-    std::size_t total_interiors = 0;
-    for (LinkId l = 0; l < n_links; ++l) {
-        count_link(l, _link_load[l]);
-        total_rules += _link_load[l].rules;
-        total_interiors += _link_load[l].interiors;
-    }
-    _total_rules = total_rules;
-    // Pre-allocate the chain-interior pool: materialization must never add
-    // PDA states (the P-automaton's helper states share the id space), so
-    // every interior an eager build would create exists up front.  The
-    // counting pass is exact, which the equivalence tests pin down by
-    // asserting the pool is fully consumed after materialize_all().
+void Translation::grow_pool(std::size_t count) {
+    if (count == 0) return;
     const auto begin = static_cast<pda::StateId>(_pda->state_count());
-    _pda->reserve_states(_pda->state_count() + total_interiors);
-    _control_info.reserve(_control_info.size() + total_interiors);
-    for (std::size_t i = 0; i < total_interiors; ++i) {
-        _pda->add_state();
-        _control_info.push_back({k_invalid_id, 0, 0, true});
-    }
-    _pools.assign(1, {begin, static_cast<pda::StateId>(_pda->state_count())});
-    _pool_cursor = 0;
+    _pda->add_states(count);
+    _control_info.resize(_control_info.size() + count, {k_invalid_id, 0, 0, true});
+    _pools.emplace_back(begin, static_cast<pda::StateId>(_pda->state_count()));
+}
+
+std::size_t Translation::interior_pool_unused() const noexcept {
+    std::size_t unused = 0;
+    for (std::size_t i = _pool_cursor; i < _pools.size(); ++i)
+        unused += _pools[i].second - _pools[i].first;
+    return unused;
 }
 
 template <typename RuleFn>
@@ -484,16 +517,10 @@ void Translation::for_entry_rules(LinkId in_link, const RoutingEntry& groups,
         return;
     }
     const auto k = _query->max_failures;
-    std::set<LinkId> higher_priority_links;
-    for (const auto& group : groups) {
-        const auto local_failures = static_cast<std::uint64_t>(higher_priority_links.size());
-        if (local_failures <= k)
-            for (const auto& rule : group)
-                if (topology.link_up(rule.out_link)) fn(rule, local_failures);
-        for (const auto& rule : group)
-            if (topology.link_up(rule.out_link))
-                higher_priority_links.insert(rule.out_link);
-    }
+    for_up_rules(topology, in_link, groups,
+                 [&](const ForwardingRule& rule, std::uint32_t local_failures) {
+        if (local_failures <= k) fn(rule, local_failures);
+    });
 }
 
 void Translation::add_entry_rules(LinkId in_link, Label label, const RoutingEntry& groups,
@@ -526,18 +553,31 @@ void Translation::add_entry_rules(LinkId in_link, Label label, const RoutingEntr
 }
 
 void Translation::materialize_state(pda::Pda& pda, pda::StateId state) {
+    (void)pda;
+    (void)state;
+    AALWINES_ASSERT(false, "interiors are pre-marked and control states label-granular");
+}
+
+const std::vector<pda::Symbol>* Translation::state_labels(pda::StateId state) const {
+    const auto& info = _control_info[state];
+    // Every rule leaving a control state is the first rule of a chain, whose
+    // precondition is the entry's label (walk_chain): label-granular.
+    return info.chain ? nullptr : &_index->row(info.link).labels;
+}
+
+void Translation::materialize_label(pda::Pda& pda, pda::StateId state, std::size_t index) {
     AALWINES_ASSERT(&pda == _pda.get(), "provider bound to a different PDA");
     (void)pda;
     const auto& info = _control_info[state];
-    if (info.chain) return; // interiors were emitted with their owning chain
-    for (const auto& [label, entry] : _entries_by_link[info.link])
-        add_entry_rules(info.link, label, *entry, info.nfa_state, info.failures);
+    const auto& row = _index->row(info.link);
+    add_entry_rules(info.link, row.labels[index], *row.entries[index], info.nfa_state,
+                    info.failures);
 }
 
 void Translation::add_chain(pda::StateId from, Label top, const ForwardingRule& rule,
                             pda::StateId target, pda::Weight weight, std::uint32_t tag) {
     EmitSink sink{*this, from, target, std::move(weight), tag};
-    walk_chain(top, rule.ops, sink);
+    walk_chain(_network->labels, top, rule.ops, sink);
 }
 
 std::vector<char> Translation::affected_links(
@@ -556,27 +596,9 @@ std::vector<char> Translation::affected_links(
     for (LinkId l = 0; l < n_links; ++l)
         if (dirty_at(dirty, l)) affected[l] = 1;
     if (!scan_out_links) return affected;
-    if (_links_into.empty()) {
-        // Invert the out-link relation once; later queries are O(|dirty| +
-        // |result|) instead of a full table scan per call.  The index stays
-        // valid until a rebase replaces an affected entry list.
-        _links_into.assign(n_links, {});
-        for (LinkId l = 0; l < n_links; ++l) {
-            for (const auto& [label, entry] : _entries_by_link[l]) {
-                (void)label;
-                for (const auto& group : *entry)
-                    for (const auto& rule : group)
-                        _links_into[rule.out_link].push_back(l);
-            }
-        }
-        for (auto& into : _links_into) {
-            std::sort(into.begin(), into.end());
-            into.erase(std::unique(into.begin(), into.end()), into.end());
-        }
-    }
     for (LinkId out = 0; out < n_links; ++out)
         if (dirty_at(behavior_dirty, out))
-            for (const auto l : _links_into[out]) affected[l] = 1;
+            for (const auto l : _index->links_into(out)) affected[l] = 1;
     return affected;
 }
 
@@ -586,7 +608,7 @@ bool Translation::footprint_touches(const std::vector<bool>& dirty,
     const auto affected = affected_links(dirty, behavior_dirty);
     const auto n_control = _failure_slots * _nfa_b.size() * _network->topology.link_count();
     for (pda::StateId s = 0; s < n_control; ++s)
-        if (_pda->is_materialized(s) && affected[_control_info[s].link]) return true;
+        if (_pda->is_demanded(s) && affected[_control_info[s].link]) return true;
     return false;
 }
 
@@ -598,17 +620,12 @@ void Translation::add_to_footprint(LinkFootprint& fp) const {
     if (fp.initial.size() < n_links) fp.initial.resize(n_links, false);
     const auto n_control = _failure_slots * _nfa_b.size() * n_links;
     for (pda::StateId s = 0; s < n_control; ++s)
-        if (_pda->is_materialized(s)) fp.materialized[_control_info[s].link] = true;
+        if (_pda->is_demanded(s)) fp.materialized[_control_info[s].link] = true;
     // Only a materialized link's rules can be invalidated by an out-link
     // flip (the affected_links into-scan restricted to where it matters).
-    for (LinkId l = 0; l < n_links; ++l) {
-        if (!fp.materialized[l]) continue;
-        for (const auto& [label, entry] : _entries_by_link[l]) {
-            (void)label;
-            for (const auto& group : *entry)
-                for (const auto& rule : group) fp.out_links[rule.out_link] = true;
-        }
-    }
+    for (LinkId l = 0; l < n_links; ++l)
+        if (fp.materialized[l])
+            for (const auto out : _index->row(l).out_links) fp.out_links[out] = true;
     const auto domain = static_cast<nfa::Symbol>(n_links);
     for (const auto q0 : _nfa_b.initial())
         for (const auto& edge : _nfa_b.states()[q0].edges)
@@ -625,64 +642,37 @@ void Translation::rebase(const Network& network, const std::vector<bool>& dirty,
     AALWINES_ASSERT(network.labels.size() == _network->labels.size(),
                     "rebase cannot mint labels (cold rebuild required)");
 
-    // The affected set can be computed against either table view: for an
-    // unaffected link both generations hold identical entries.  Use the old
-    // index before any of its RoutingEntry pointers can dangle.
+    // The affected set can be computed against either snapshot's index:
+    // for an unaffected link both hold identical rows.
     const auto affected = affected_links(dirty, behavior_dirty);
     const auto n_control =
         _failure_slots * _nfa_b.size() * _network->topology.link_count();
     std::vector<pda::StateId> heads;
     for (pda::StateId s = 0; s < n_control; ++s)
-        if (_pda->is_materialized(s) && affected[_control_info[s].link])
-            heads.push_back(s);
+        if (_pda->is_demanded(s) && affected[_control_info[s].link]) heads.push_back(s);
 
+    // Switch to the patched snapshot's index (carried over from the old one
+    // when delta::apply_delta minted the snapshot).  Unaffected rows list
+    // the same entries as the old ones, so the rules and per-label demand
+    // marks of every surviving state stay valid.
+    const auto previous = std::exchange(_index, TranslationIndex::of(network));
     _network = &network;
-    // Re-bucket only the affected links against the patched table.  An
-    // unaffected link's bucket stays valid verbatim: entries are shared_ptr-
-    // shared across copy-on-write generations, so the new table holds the
-    // very objects the old pointers reference (and every generation in the
-    // chain keeps them alive).  The into-index survives unless an affected
-    // bucket actually changed — a pure link-state flip never replaces one.
-    bool entries_changed = false;
-    for (LinkId l = 0; l < affected.size(); ++l) {
-        if (!affected[l]) continue;
-        std::vector<std::pair<Label, const RoutingEntry*>> fresh;
-        _network->routing.for_each_of(l, [&](Label label, const RoutingEntry& groups) {
-            fresh.emplace_back(label, &groups);
-        });
-        if (fresh != _entries_by_link[l]) {
-            entries_changed = true;
-            _entries_by_link[l] = std::move(fresh);
-        }
-    }
-    if (entries_changed) _links_into.clear();
 
     _pda->invalidate_states(
         heads, [this](pda::StateId s) { return _control_info[s].chain; });
 
-    // Recount the affected links against the new table; adjust the
+    // Re-sum the affected links against the new index; adjust the
     // eager-equivalent total and grow the interior pool by their full new
     // contribution (see the telescoping argument at _pools).
     std::size_t new_interiors = 0;
     for (LinkId l = 0; l < affected.size(); ++l) {
         if (!affected[l]) continue;
-        LinkLoad load;
-        count_link(l, load);
-        _total_rules -= _link_load[l].rules;
+        const auto load = link_load(*_index, l);
+        _total_rules -= link_load(*previous, l).rules;
         _total_rules += load.rules;
         new_interiors += load.interiors;
-        _link_load[l] = load;
     }
-    if (new_interiors > 0) {
-        const auto begin = static_cast<pda::StateId>(_pda->state_count());
-        _pda->reserve_states(_pda->state_count() + new_interiors);
-        _control_info.reserve(_control_info.size() + new_interiors);
-        for (std::size_t i = 0; i < new_interiors; ++i) {
-            _pda->add_state();
-            _control_info.push_back({k_invalid_id, 0, 0, true});
-        }
-        _pools.emplace_back(begin, static_cast<pda::StateId>(_pda->state_count()));
-    }
+    grow_pool(new_interiors);
 
     compute_initial_states();
     _reduced = false; // refresh the (lazy no-op) reduction stats next verify
@@ -776,6 +766,117 @@ pda::ReductionStats Translation::reduce(int level) {
     _reduce_stats = pda::reduce(*_pda, seeds, deep_set, level);
     _reduced = true;
     return _reduce_stats;
+}
+
+namespace {
+
+/// One link's row of the index, against `network`'s current content.
+std::shared_ptr<const TranslationIndex::Row> build_row(const Network& network, LinkId link) {
+    using Load = TranslationIndex::Load;
+    auto row = std::make_shared<TranslationIndex::Row>();
+    network.routing.for_each_of(link, [&](Label label, const RoutingEntry& groups) {
+        row->labels.push_back(label);
+        row->entries.push_back(&groups);
+        for (const auto& group : groups)
+            for (const auto& rule : group) row->out_links.push_back(rule.out_link);
+        for_up_rules(network.topology, link, groups,
+                     [&](const ForwardingRule& rule, std::uint32_t local_failures) {
+            CountSink counts;
+            walk_chain(network.labels, label, rule.ops, counts);
+            row->loads.push_back({rule.out_link, local_failures, counts.rules, counts.interiors});
+        });
+    });
+    std::sort(row->out_links.begin(), row->out_links.end());
+    row->out_links.erase(std::unique(row->out_links.begin(), row->out_links.end()),
+                         row->out_links.end());
+    // Aggregate by (out-link, local failures).
+    auto& loads = row->loads;
+    std::sort(loads.begin(), loads.end(), [](const Load& a, const Load& b) {
+        return std::pair(a.out_link, a.local_failures) <
+               std::pair(b.out_link, b.local_failures);
+    });
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+        if (kept > 0 && loads[kept - 1].out_link == loads[i].out_link &&
+            loads[kept - 1].local_failures == loads[i].local_failures) {
+            loads[kept - 1].rules += loads[i].rules;
+            loads[kept - 1].interiors += loads[i].interiors;
+        } else {
+            loads[kept++] = loads[i];
+        }
+    }
+    loads.resize(kept);
+    loads.shrink_to_fit();
+    return row;
+}
+
+} // namespace
+
+TranslationIndex::TranslationIndex(const Network& network) {
+    AALWINES_SPAN("build_translation_index");
+    const auto n_links = network.topology.link_count();
+    _rows.reserve(n_links);
+    _links_into.assign(n_links, {});
+    for (LinkId l = 0; l < n_links; ++l) {
+        _rows.push_back(build_row(network, l));
+        link_into(l, *_rows.back());
+    }
+}
+
+void TranslationIndex::link_into(LinkId in_link, const Row& row) {
+    // In-links arrive in ascending order on a full build; a carried-over
+    // row is inserted at its sorted place.
+    for (const auto out : row.out_links) {
+        auto& into = _links_into[out];
+        const auto at = std::lower_bound(into.begin(), into.end(), in_link);
+        if (at == into.end() || *at != in_link) into.insert(at, in_link);
+    }
+}
+
+std::shared_ptr<const TranslationIndex> TranslationIndex::of(const Network& network) {
+    return network.derived.get_or_build<TranslationIndex>(network.content_key(), [&] {
+        return std::make_shared<const TranslationIndex>(network);
+    });
+}
+
+void TranslationIndex::carry_over(const Network& base, const Network& next,
+                                  const std::vector<LinkId>& entry_links,
+                                  const std::vector<LinkId>& state_links) {
+    const auto key = next.content_key();
+    if (next.derived.find<TranslationIndex>(key) != nullptr) return;
+    const auto from = base.derived.find<TranslationIndex>(base.content_key());
+    if (from == nullptr) return;
+    AALWINES_SPAN("carry_translation_index");
+    AALWINES_ASSERT(from->link_count() == next.topology.link_count(),
+                    "a delta cannot change the link set");
+    // Rows read the in-link's entries and up/down state and the up/down
+    // state of every out-link their rules name.
+    std::vector<LinkId> stale(entry_links);
+    for (const auto link : state_links) {
+        stale.push_back(link);
+        const auto& into = from->links_into(link);
+        stale.insert(stale.end(), into.begin(), into.end());
+    }
+    std::sort(stale.begin(), stale.end());
+    stale.erase(std::unique(stale.begin(), stale.end()), stale.end());
+
+    auto index = std::make_shared<TranslationIndex>(*from);
+    for (const auto link : stale) {
+        for (const auto out : index->row(link).out_links) {
+            auto& into = index->_links_into[out];
+            into.erase(std::lower_bound(into.begin(), into.end(), link));
+        }
+        index->_rows[link] = build_row(next, link);
+        index->link_into(link, *index->_rows[link]);
+    }
+    next.derived.store<TranslationIndex>(key, std::move(index));
+}
+
+bool TranslationIndex::operator==(const TranslationIndex& other) const {
+    if (_rows.size() != other._rows.size() || _links_into != other._links_into) return false;
+    for (std::size_t l = 0; l < _rows.size(); ++l)
+        if (_rows[l] != other._rows[l] && !(*_rows[l] == *other._rows[l])) return false;
+    return true;
 }
 
 TranslationCache::TranslationCache(const Network& network, const query::Query& query,

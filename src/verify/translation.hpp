@@ -67,6 +67,81 @@ struct LinkFootprint {
     }
 };
 
+/// The query-independent half of the network→PDA translation, computed once
+/// per network snapshot and memoized on it (Network::derived).  Per link it
+/// holds the label-sorted routing entries and the chain shapes of their
+/// forwarding rules — how many rules and interior states each rule's op
+/// chain emits, as walked by the translation itself — aggregated by
+/// (out-link, local failures): the two things a rule's copy count per query
+/// depends on (path-NFA moves over the out-link × failure slots left after
+/// its local failures).  A query then sizes its eager-equivalent rule total
+/// and its exact chain-interior pool in O(links × path-NFA moves) with no
+/// chain walk, and its lazy states look their entries up here.
+///
+/// The Over/Under shapes assume the snapshot's link states: rules of a down
+/// in-link and rules over a down out-link are left out, and a group's local
+/// failures count the distinct up out-links of the groups above it.  A
+/// what-if delta recomputes only the rows of the links it reaches (see
+/// carry_over); the rest are shared with the base snapshot's index.
+class TranslationIndex {
+public:
+    /// Chains of a link's eligible forwarding rules over one out-link with
+    /// one local-failure count, summed.
+    struct Load {
+        LinkId out_link = k_invalid_id;
+        std::uint32_t local_failures = 0;
+        std::size_t rules = 0;     ///< PDA rules the chains emit
+        std::size_t interiors = 0; ///< chain-interior states they allocate
+        bool operator==(const Load&) const = default;
+    };
+    struct Row {
+        std::vector<Label> labels;                ///< entry labels, ascending
+        std::vector<const RoutingEntry*> entries; ///< parallel to `labels`
+        std::vector<Load> loads;                  ///< ascending (out_link, local_failures)
+        /// Distinct out-links of every rule of every entry, whatever the
+        /// link states (ascending).
+        std::vector<LinkId> out_links;
+        bool operator==(const Row&) const = default;
+    };
+
+    /// Build from scratch over `network` (not memoized; see of()).
+    explicit TranslationIndex(const Network& network);
+
+    /// The index of `network`'s current content: the memoized one, or one
+    /// built now and memoized — exactly once, however many threads ask.
+    [[nodiscard]] static std::shared_ptr<const TranslationIndex> of(const Network& network);
+
+    /// Memoize on `next` the index of `base` re-targeted at it, recomputing
+    /// only the rows a delta can have changed: the links whose routing
+    /// entries changed (`entry_links`), the links whose up/down state
+    /// flipped (`state_links`), and every link with a rule over a flipped
+    /// one.  `next` must be a patched copy of `base` with the same link set
+    /// (a minted label is fine: it only appears in changed entries).  No-op
+    /// when `base` has no current index — the first query on `next` then
+    /// builds one — or when `next` already has one.
+    static void carry_over(const Network& base, const Network& next,
+                           const std::vector<LinkId>& entry_links,
+                           const std::vector<LinkId>& state_links);
+
+    [[nodiscard]] const Row& row(LinkId link) const { return *_rows[link]; }
+    [[nodiscard]] std::size_t link_count() const noexcept { return _rows.size(); }
+    /// In-links holding a rule over `out` (ascending): the inverse of
+    /// Row::out_links.
+    [[nodiscard]] const std::vector<LinkId>& links_into(LinkId out) const {
+        return _links_into[out];
+    }
+
+    /// Content equality (rows compare entries by address: two indexes of
+    /// one snapshot are equal iff they describe it identically).
+    [[nodiscard]] bool operator==(const TranslationIndex& other) const;
+
+private:
+    void link_into(LinkId in_link, const Row& row);
+
+    std::vector<std::shared_ptr<const Row>> _rows; ///< shared across carried-over snapshots
+    std::vector<std::vector<LinkId>> _links_into;
+};
+
 struct TranslationOptions {
     Approximation approximation = Approximation::Over;
     /// Weight vector for the minimum-witness problem; nullptr = unweighted.
@@ -80,14 +155,16 @@ struct TranslationOptions {
     /// Pre-compiled query NFAs (see CompiledNfas); nullptr = compile here.
     const CompiledNfas* nfas = nullptr;
     /// Demand-driven rule materialization: construction emits *no* rules and
-    /// registers the translation as the PDA's RuleProvider instead; a control
-    /// state's outgoing rules (TE-group expansion × path-NFA moves × failure
-    /// slots, including its op chains) are generated when post*/pre* first
-    /// pops a transition out of that state.  Chain-interior states are
-    /// pre-allocated from an exactly-sized pool (a rule-free counting pass
-    /// over the routing table), so the state space is fixed up front and the
-    /// P-automaton can share the id space safely.  reduce() becomes a no-op:
-    /// the demand filter subsumes the top-of-stack pass (see reduction.cpp).
+    /// registers the translation as the PDA's label-granular RuleProvider
+    /// instead; the rules leaving a control state (e, q, f) for one top
+    /// label γ — routing entry τ(e, γ)'s TE-group expansion × path-NFA moves
+    /// × failure slots, including the op chains — are generated when
+    /// post*/pre* first pops a transition with top γ out of that state.
+    /// Chain-interior states are pre-allocated from an exactly-sized pool
+    /// (sized from the snapshot's TranslationIndex), so the state space is
+    /// fixed up front and the P-automaton can share the id space safely.
+    /// reduce() becomes a no-op: the demand filter subsumes the
+    /// top-of-stack pass (see reduction.cpp).
     bool lazy = false;
 };
 
@@ -138,14 +215,14 @@ public:
     ///
     /// The affected control states — a dirty link's, or one whose entries
     /// forward over a behavior-dirty link — are un-materialized together
-    /// with their chain interiors, the per-link entry index is rebuilt over
-    /// the new routing table (the copy-on-write snapshot reallocates every
-    /// entry), the interior pool grows by the affected links' new
-    /// contribution, and the initial states are recomputed (a down link
-    /// never starts a trace).  The next saturation re-demands exactly the
-    /// invalidated frontier; by the match-order argument in
-    /// pda::Pda::invalidate_states the answer is byte-identical to a cold
-    /// recompile against the patched network.
+    /// with their chain interiors, the translation switches to the new
+    /// snapshot's TranslationIndex (carried over from the old one when the
+    /// delta layer made the snapshot), the interior pool grows by the
+    /// affected links' new contribution, and the initial states are
+    /// recomputed (a down link never starts a trace).  The next saturation
+    /// re-demands exactly the invalidated frontier; by the match-order
+    /// argument in pda::Pda::invalidate_states the answer is byte-identical
+    /// to a cold recompile against the patched network.
     void rebase(const Network& network, const std::vector<bool>& dirty,
                 const std::vector<bool>& behavior_dirty);
 
@@ -168,15 +245,28 @@ public:
     void add_to_footprint(LinkFootprint& fp) const;
 
     /// Rules the eager pipeline would emit before reduction.  For a lazy
-    /// translation this is computed by a rule-free counting pass at
-    /// construction; compare with pda().rule_count() (the materialized
+    /// translation this is summed from the TranslationIndex's chain shapes
+    /// at construction; compare with pda().rule_count() (the materialized
     /// subset) for the demand savings.
     [[nodiscard]] std::size_t total_rules() const noexcept { return _total_rules; }
 
-    /// RuleProvider: emit every outgoing rule of one control state (chain
-    /// interiors ride along with their owning chain).  Invoked by the PDA on
-    /// first demand; not for direct use.
+    /// Chain-interior states of the lazy pool (exactly the eager build's
+    /// interiors, plus each rebase's affected-link contribution) not yet
+    /// handed out.
+    [[nodiscard]] std::size_t interior_pool_unused() const noexcept;
+
+    /// The snapshot index this translation reads its entries from.
+    [[nodiscard]] const TranslationIndex& index() const noexcept { return *_index; }
+
+    /// RuleProvider: never asked — chain interiors are materialized with
+    /// their owning chain and control states label by label.
     void materialize_state(pda::Pda& pda, pda::StateId state) override;
+    /// RuleProvider: a control state's labels are its link's entry labels;
+    /// chain interiors (materialized with their chain) have none.
+    [[nodiscard]] const std::vector<pda::Symbol>* state_labels(
+        pda::StateId state) const override;
+    /// RuleProvider: emit the rules of one routing entry leaving `state`.
+    void materialize_label(pda::Pda& pda, pda::StateId state, std::size_t index) override;
 
     /// P-automaton accepting the initial configurations
     /// {((e₁,q₁,0), h) : h ∈ L(a) ∩ H} — the post* source.
@@ -241,20 +331,16 @@ private:
     void compute_initial_states();
     void build_move_index();
     void build_rules();
-    /// (Re)build the per-link routing entry index from `_network`.  for_each
-    /// iterates keys in sorted order, so every bucket is label-ascending —
-    /// the canonical order that keeps rebased re-materialization emitting
-    /// per-state rule sequences identical to a cold build.
-    void build_entry_index();
-    /// Lazy construction: per-link routing entry index + the counting pass
-    /// sizing the chain-state pool and the eager-equivalent rule total.
-    void build_lazy_index();
     /// Eager-equivalent rule/interior counts of one in-link's entries.
     struct LinkLoad {
         std::size_t rules = 0;
         std::size_t interiors = 0;
     };
-    void count_link(LinkId in_link, LinkLoad& load) const;
+    /// Over/Under: from `index`'s aggregates (no chain walk).  Exact: the
+    /// scenario picks one group per entry, so its chains are walked.
+    [[nodiscard]] LinkLoad link_load(const TranslationIndex& index, LinkId in_link) const;
+    /// Append `count` chain-interior states to the pool as a new range.
+    void grow_pool(std::size_t count);
     /// Links whose control states a rebase must invalidate: the link itself
     /// is dirty, or one of its entries forwards over a behavior-dirty link
     /// (out-link state/distance changes alter the emitted rules or their
@@ -269,18 +355,10 @@ private:
                          std::uint32_t only_q = k_any, std::uint32_t only_f = k_any);
     /// Invoke `fn(rule, local_failures)` for every forwarding rule of the
     /// entry that is eligible under the approximation (TE-priority and
-    /// failure-budget handling shared by emission and the counting pass).
+    /// failure-budget handling shared by emission and Exact pool sizing).
     template <typename RuleFn>
     void for_entry_rules(LinkId in_link, const RoutingEntry& groups, RuleFn&& fn) const;
-    /// Walk one op chain, driving `sink.step(index, last)` before each op
-    /// and `sink.rule(pre, op, l1, l2)` per emitted rule — the single source
-    /// of truth for chain shape, shared by emission (EmitSink) and the
-    /// counting pass (CountSink), so lazy totals match eager emission
-    /// rule-for-rule.
-    template <typename Sink>
-    void walk_chain(Label top, const std::vector<Op>& ops, Sink& sink) const;
     struct EmitSink;
-    struct CountSink;
     void add_chain(pda::StateId from, Label top, const ForwardingRule& rule,
                    pda::StateId target, pda::Weight weight, std::uint32_t tag);
     /// A fresh chain-interior state: allocated eagerly, or drawn from the
@@ -321,21 +399,9 @@ private:
 
     bool _lazy = false;
     std::size_t _total_rules = 0; ///< eager-equivalent rule count (pre-reduction)
-    /// Routing entries grouped by in-link (per-state materialization needs
-    /// "all entries of link e"; RoutingEntry pointers stay stable — the
-    /// routing table is const for the translation's lifetime).
-    std::vector<std::vector<std::pair<Label, const RoutingEntry*>>> _entries_by_link;
-    /// Inverse of the rule out-link relation: `_links_into[out]` lists the
-    /// in-links holding a rule that forwards over `out` (sorted, deduped).
-    /// Built on first demand by affected_links; dropped whenever a rebase
-    /// replaces an affected link's entry list (link-state flips never do —
-    /// they leave every routing entry untouched — so sweeping a scenario
-    /// axis pays the O(rules) build exactly once).
-    mutable std::vector<std::vector<LinkId>> _links_into;
-    /// Per-link eager-equivalent counts behind `_total_rules` and the pool
-    /// size, kept so a rebase can adjust both by recounting only the
-    /// affected links.
-    std::vector<LinkLoad> _link_load;
+    /// The snapshot's entries and chain shapes (RoutingEntry pointers stay
+    /// stable: the routing table is const for the translation's lifetime).
+    std::shared_ptr<const TranslationIndex> _index;
     /// Chain-interior state pool: half-open [first, second) ranges consumed
     /// in order.  Construction allocates one exactly-sized range; each
     /// rebase appends a fresh (non-contiguous) range covering the affected

@@ -27,6 +27,7 @@
 #include "synthesis/queries.hpp"
 #include "util/errors.hpp"
 #include "verify/engine.hpp"
+#include "verify/translation.hpp"
 
 namespace aalwines::delta {
 namespace {
@@ -280,6 +281,51 @@ TEST(DeltaApply, LinkStateAndDistanceRecordEffectsOnlyOnChange) {
     EXPECT_EQ(dist.network->topology.link(e2).distance, 9u);
 }
 
+/// apply_delta hands the copy its base's translation index with only the
+/// reached rows recomputed: an entry edit, a link flip and a label-minting
+/// edit each yield an index equal to a build from scratch, and rows the
+/// delta cannot reach stay shared with the base's.
+TEST(DeltaApply, CarriesTheTranslationIndexOver) {
+    const auto base = synthesis::make_figure1_network();
+    const auto base_index = verify::TranslationIndex::of(base);
+    const std::vector<std::string> deltas = {
+        R"({"operations": [{"op": "add-rule", "router": "v2", "from": "in1", "label": "20",
+            "type": "smpls", "to": "e5", "ops": [{"op": "pop"}]}]})",
+        R"({"operations": [{"op": "link-state", "router": "v0", "interface": "e1",
+            "up": false}]})",
+        R"({"operations": [{"op": "add-rule", "router": "v2", "from": "in1", "label": "999",
+            "type": "smpls", "to": "e5", "ops": [{"op": "swap", "label": "998",
+            "type": "smpls"}]}]})",
+        R"({"operations": [{"op": "set-distance", "router": "v0", "interface": "e2",
+            "distance": 9}]})",
+    };
+    const auto n_links = base.topology.link_count();
+    for (const auto& text : deltas) {
+        const auto applied = apply_delta(base, parse_delta(text));
+        const auto& next = *applied.network;
+        const auto carried = next.derived.find<verify::TranslationIndex>(next.content_key());
+        ASSERT_NE(carried, nullptr) << text;
+        EXPECT_EQ(*carried, verify::TranslationIndex(next)) << text;
+        std::size_t shared = 0;
+        for (LinkId l = 0; l < n_links; ++l)
+            if (&carried->row(l) == &base_index->row(l)) ++shared;
+        EXPECT_GT(shared, 0u) << text;
+        // A snapshot carried from the carried one stays fresh too.
+        const auto again = apply_delta(next, parse_delta(deltas[1]));
+        const auto& twice = *again.network;
+        const auto chained = twice.derived.find<verify::TranslationIndex>(twice.content_key());
+        ASSERT_NE(chained, nullptr) << text;
+        EXPECT_EQ(*chained, verify::TranslationIndex(twice)) << text;
+    }
+    // Without a base index there is nothing to carry: the first query on
+    // the copy builds its own.
+    const auto unindexed = synthesis::make_figure1_network();
+    const auto applied = apply_delta(unindexed, parse_delta(deltas[0]));
+    EXPECT_EQ(applied.network->derived.find<verify::TranslationIndex>(
+                  applied.network->content_key()),
+              nullptr);
+}
+
 // ---- the tiered re-verifier ------------------------------------------
 
 TEST(Reverifier, RepeatQueryIsReusedAndDeltasRebase) {
@@ -311,6 +357,23 @@ TEST(Reverifier, RepeatQueryIsReusedAndDeltasRebase) {
          "to": "e6", "ops": [{"op": "swap", "label": "43", "type": "smpls"}]}]})"));
     const auto reused = reverifier.verify(k_fig1_yes, spec);
     EXPECT_EQ(reused.path, VerifyPath::Reused);
+}
+
+/// A pop whose top label has no routing entry on its link still reads the
+/// link ("no rules"): a delta adding that entry must not be answered from
+/// the stored result.
+TEST(Reverifier, EntryForAPoppedLabelIsNotReused) {
+    Reverifier reverifier(std::make_shared<const Network>(synthesis::make_figure1_network()));
+    const cli::VerifySpec spec;
+    const std::string query = "<ip> [.#v2] [v2#.] <ip> 0";
+    // ip1 enters v2 over in1, which routes only MPLS labels.
+    EXPECT_EQ(reverifier.verify(query, spec).result.answer, verify::Answer::No);
+    reverifier.apply(parse_delta(R"({"operations": [
+        {"op": "add-rule", "router": "v2", "from": "in1", "label": "ip1", "type": "ip",
+         "to": "e4"}]})"));
+    const auto after = reverifier.verify(query, spec);
+    EXPECT_NE(after.path, VerifyPath::Reused);
+    EXPECT_EQ(after.result.answer, verify::Answer::Yes);
 }
 
 TEST(Reverifier, ColdFallbacks) {
@@ -437,6 +500,17 @@ void run_battery(const Network& base, const std::string& query_text,
             }
         }
         reverifier.apply(delta);
+        {
+            // Every generation carries its translation index over from the
+            // previous one (the first verify built generation 0's) and the
+            // carried index equals a build from scratch.
+            const auto snapshot = reverifier.network();
+            const auto carried =
+                snapshot->derived.find<verify::TranslationIndex>(snapshot->content_key());
+            ASSERT_NE(carried, nullptr) << "generation " << i + 1 << " lost its index";
+            ASSERT_EQ(*carried, verify::TranslationIndex(*snapshot))
+                << "stale index at generation " << i + 1;
+        }
         const auto verified = reverifier.verify(query_text, spec);
         switch (verified.path) {
             case VerifyPath::Reused: ++outcome.reused; break;

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "pda_test_util.hpp"
 #include "synthesis/dataplane.hpp"
 #include "synthesis/networks.hpp"
 #include "synthesis/queries.hpp"
 #include "verify/engine.hpp"
+#include "verify/translation.hpp"
 
 namespace aalwines::pda {
 namespace {
@@ -280,6 +282,41 @@ TEST_F(ParallelVerify, NordunetBatteryMatchesAcrossThreadCounts) {
     const auto battery = synthesis::make_query_battery(synth, battery_options);
     ASSERT_FALSE(battery.empty());
     for (const auto& text : battery) expect_equivalent(synth.network, text);
+}
+
+/// Two threads run their first query on one fresh snapshot at once: its
+/// translation index is built exactly once — both translations read the
+/// very object the snapshot memoizes — and without a data race (the tsan
+/// CI job runs this test).  Answers match a single-threaded run.
+TEST(TranslationIndexConcurrency, TwoFirstQueriesBuildOneIndex) {
+    const auto synth = synthesis::make_nordunet_like(40, 1);
+    const auto& net = synth.network;
+    const auto queries = synthesis::make_table1_queries(synth);
+    ASSERT_GE(queries.size(), 2u);
+    const TranslationIndex* seen[2] = {nullptr, nullptr};
+    Answer answers[2] = {Answer::Inconclusive, Answer::Inconclusive};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 2; ++t)
+        threads.emplace_back([&, t] {
+            const auto query = query::parse_query(queries[t], net);
+            TranslationOptions options;
+            options.lazy = true;
+            Translation translation(net, query, options);
+            auto automaton = translation.make_initial_automaton();
+            (void)pda::post_star(automaton);
+            seen[t] = &translation.index();
+            answers[t] = verify(net, query, {}).answer;
+        });
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(seen[0], seen[1]);
+    EXPECT_EQ(seen[0], TranslationIndex::of(net).get());
+
+    const auto fresh = synthesis::make_nordunet_like(40, 1);
+    for (std::size_t t = 0; t < 2; ++t)
+        EXPECT_EQ(answers[t],
+                  verify(fresh.network, query::parse_query(queries[t], fresh.network), {})
+                      .answer)
+            << queries[t];
 }
 
 } // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <queue>
 
 #include "pda_test_util.hpp"
@@ -331,6 +333,162 @@ TEST_P(PdaRandom, LazyProviderMatchesEagerSaturation) {
         EXPECT_TRUE(lazy.fully_materialized());
         EXPECT_EQ(lazy.rule_count(), eager.rule_count());
     }
+}
+
+/// Replays an eagerly built PDA label by label: states whose rules all have
+/// concrete preconditions are label-granular (their labels are the distinct
+/// precondition symbols), the rest replay whole.
+class LabelReplayProvider final : public RuleProvider {
+public:
+    explicit LabelReplayProvider(const Pda& source) : _source(&source) {
+        _labels.resize(source.state_count());
+        _granular.assign(source.state_count(), true);
+        for (const auto& rule : source.rules()) {
+            if (rule.pre.kind != PreSpec::Kind::Concrete) _granular[rule.from] = false;
+            else _labels[rule.from].push_back(rule.pre.symbol);
+        }
+        for (auto& labels : _labels) {
+            std::sort(labels.begin(), labels.end());
+            labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+        }
+    }
+    void materialize_state(Pda& pda, StateId state) override {
+        EXPECT_FALSE(_granular[state]) << "whole-state demand of a label-granular state";
+        for (const auto& rule : _source->rules())
+            if (rule.from == state) pda.add_rule(rule);
+    }
+    const std::vector<Symbol>* state_labels(StateId state) const override {
+        return _granular[state] ? &_labels[state] : nullptr;
+    }
+    void materialize_label(Pda& pda, StateId state, std::size_t index) override {
+        ++label_demands;
+        for (const auto& rule : _source->rules())
+            if (rule.from == state && rule.pre.symbol == _labels[state][index])
+                pda.add_rule(rule);
+    }
+    std::size_t label_demands = 0;
+
+private:
+    const Pda* _source;
+    std::vector<std::vector<Symbol>> _labels;
+    std::vector<bool> _granular;
+};
+
+Pda label_twin(const Pda& source, LabelReplayProvider& provider) {
+    Pda twin(source.alphabet_size());
+    for (StateId s = 0; s < source.state_count(); ++s) twin.add_state();
+    twin.set_rule_provider(&provider, source.all_weights_scalar());
+    return twin;
+}
+
+/// Each live rule by canonical key, mapped to its source rule (tags are
+/// unique per source rule).
+std::map<RuleKey, std::uint32_t> rules_by_key(const Pda& pda) {
+    std::map<RuleKey, std::uint32_t> out;
+    for (RuleId id = 0; id < pda.rule_slot_count(); ++id)
+        if (!pda.rule_dead(id)) out.emplace(pda.rule_canonical_key(id), pda.rule(id).tag);
+    return out;
+}
+
+/// Demand every (state, symbol) pair one concrete lookup at a time, in the
+/// given symbol order.
+void demand_all(const Pda& pda, const std::vector<Symbol>& order) {
+    for (StateId s = 0; s < pda.state_count(); ++s)
+        for (const auto symbol : order)
+            pda.for_each_applicable(s, symbol, [](RuleId, const auto&) {});
+}
+
+/// Per-label demand keeps rule identities canonical: whatever order labels
+/// are demanded in, every rule gets the canonical key the eager build gives
+/// it — so weighted canonical tie-breaks cannot depend on demand order.
+TEST_P(PdaRandom, LabelDemandOrderKeepsCanonicalKeys) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 3);
+    const Symbol alphabet = 5;
+    const auto eager = random_pda(rng, 4, alphabet, 24, true, /*with_classes=*/false);
+    LabelReplayProvider up_provider(eager), down_provider(eager);
+    const auto up = label_twin(eager, up_provider);
+    const auto down = label_twin(eager, down_provider);
+    demand_all(up, {0, 1, 2, 3, 4});
+    demand_all(down, {4, 3, 2, 1, 0});
+    EXPECT_TRUE(up.fully_materialized());
+    EXPECT_TRUE(down.fully_materialized());
+    EXPECT_EQ(rules_by_key(up), rules_by_key(eager)) << "seed " << GetParam();
+    EXPECT_EQ(rules_by_key(down), rules_by_key(eager)) << "seed " << GetParam();
+    EXPECT_EQ(up.demanded_label_count(), up_provider.label_demands);
+    EXPECT_EQ(down.demanded_label_count(), down_provider.label_demands);
+}
+
+/// The set-labelled lookup visits concrete rules by ascending symbol even
+/// when the labels were demanded in descending order, so a saturation over
+/// the label-granular twin replays the eager transcript exactly.
+TEST_P(PdaRandom, LabelDemandKeepsSetLookupOrder) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 3571 + 17);
+    const Symbol alphabet = 5;
+    const auto eager = random_pda(rng, 4, alphabet, 24, false, /*with_classes=*/false);
+    LabelReplayProvider provider(eager);
+    const auto lazy = label_twin(eager, provider);
+    demand_all(lazy, {4, 3, 1});
+    const auto visits = [](const Pda& pda, StateId state, const nfa::SymbolSet& label) {
+        std::vector<std::uint32_t> tags;
+        pda.for_each_applicable(state, label, [&](RuleId id, const auto&) {
+            tags.push_back(pda.rule(id).tag);
+        });
+        return tags;
+    };
+    for (StateId s = 0; s < eager.state_count(); ++s)
+        for (const auto& label : {nfa::SymbolSet::any(), nfa::SymbolSet::of({0, 2, 3}),
+                                  nfa::SymbolSet::excluding({1})})
+            EXPECT_EQ(visits(lazy, s, label), visits(eager, s, label))
+                << "seed " << GetParam() << " state " << s;
+
+    LabelReplayProvider fresh_provider(eager);
+    const auto fresh = label_twin(eager, fresh_provider);
+    const std::vector<Config> initial{{0, {0, 1}}, {1, {3, 4}}};
+    auto eager_aut = automaton_for_configs(eager, initial);
+    auto lazy_aut = automaton_for_configs(fresh, initial);
+    const auto eager_stats = post_star(eager_aut);
+    const auto lazy_stats = post_star(lazy_aut);
+    EXPECT_EQ(eager_stats.iterations, lazy_stats.iterations) << "seed " << GetParam();
+    EXPECT_EQ(eager_stats.relaxations, lazy_stats.relaxations) << "seed " << GetParam();
+    EXPECT_LE(fresh.rule_count(), eager.rule_count());
+}
+
+/// invalidate_states clears the per-label marks: re-demanding the same
+/// labels (in another order) re-emits identical rules under identical keys.
+TEST_P(PdaRandom, InvalidateClearsLabelDemands) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 7307 + 29);
+    const Symbol alphabet = 5;
+    const auto eager = random_pda(rng, 4, alphabet, 24, true, /*with_classes=*/false);
+    LabelReplayProvider provider(eager);
+    auto lazy = label_twin(eager, provider);
+    demand_all(lazy, {1, 3});
+    const auto before = rules_by_key(lazy);
+    const auto labels_before = lazy.demanded_label_count();
+
+    std::vector<StateId> all(lazy.state_count());
+    for (StateId s = 0; s < lazy.state_count(); ++s) all[s] = s;
+    lazy.invalidate_states(all, [](StateId) { return false; });
+    EXPECT_EQ(lazy.rule_count(), 0u);
+    EXPECT_EQ(lazy.demanded_label_count(), 0u);
+    EXPECT_EQ(lazy.materialized_state_count(), 0u);
+    for (StateId s = 0; s < lazy.state_count(); ++s) EXPECT_FALSE(lazy.is_demanded(s));
+
+    const auto demands = provider.label_demands;
+    // A pop with a label a state has no rules for still counts as a demand
+    // of that state: a later provider change could add rules for it.
+    for (StateId s = 0; s < eager.state_count(); ++s)
+        for (Symbol symbol = 0; symbol < alphabet; ++symbol) {
+            std::size_t rules = 0;
+            eager.for_each_applicable(s, symbol, [&](RuleId, const auto&) { ++rules; });
+            if (rules > 0 || lazy.is_demanded(s)) continue;
+            lazy.for_each_applicable(s, symbol, [](RuleId, const auto&) {});
+            EXPECT_TRUE(lazy.is_demanded(s)) << "seed " << GetParam() << " state " << s;
+        }
+    EXPECT_EQ(lazy.rule_count(), 0u);
+    demand_all(lazy, {3, 1});
+    EXPECT_EQ(provider.label_demands, 2 * demands) << "marks survived the invalidation";
+    EXPECT_EQ(lazy.demanded_label_count(), labels_before);
+    EXPECT_EQ(rules_by_key(lazy), before) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PdaRandom, ::testing::Range(0, 40));

@@ -23,6 +23,7 @@
 #include "util/errors.hpp"
 #include "verify/batch.hpp"
 #include "verify/sweep.hpp"
+#include "verify/translation.hpp"
 
 namespace aalwines::verify {
 namespace {
@@ -61,6 +62,13 @@ void expect_equivalent(const Network& base, const SweepSpec& spec,
     std::vector<std::shared_ptr<const Network>> nets;
     nets.reserve(scenarios.size());
     for (const auto& scenario : scenarios) nets.push_back(scenario_network(base, scenario));
+    for (const auto& net : nets) {
+        // The sweep built the base's translation index, so every scenario
+        // snapshot carries it over; it must equal a build from scratch.
+        const auto carried = net->derived.find<TranslationIndex>(net->content_key());
+        ASSERT_NE(carried, nullptr);
+        EXPECT_EQ(*carried, TranslationIndex(*net));
+    }
     for (const auto& cell : sweep.cells) {
         ASSERT_TRUE(cell.error.empty())
             << cell.query_text << " [scenario " << cell.scenario << "]: " << cell.error;
@@ -102,6 +110,28 @@ TEST(Sweep, SingleFailureScenarios) {
         EXPECT_EQ(scenarios[s].failed_links.size(), 1u);
     // The cap bounds failure scenarios, not the baseline.
     EXPECT_EQ(make_single_failure_scenarios(net, 3).size(), 4u);
+}
+
+/// Failure scenarios recompute only the index rows their failed link
+/// reaches (its own and those of links forwarding over it) and share the
+/// rest with the base snapshot's index.
+TEST(Sweep, ScenarioSnapshotsCarryTheIndexOver) {
+    const auto synth = synthesis::make_nordunet_like(40, 1);
+    const auto& base = synth.network;
+    const auto base_index = TranslationIndex::of(base);
+    const auto n_links = base.topology.link_count();
+    for (const auto& scenario : make_single_failure_scenarios(base, 12)) {
+        if (scenario.failed_links.empty()) continue;
+        const auto net = scenario_network(base, scenario);
+        const auto carried = net->derived.find<TranslationIndex>(net->content_key());
+        ASSERT_NE(carried, nullptr) << scenario.name;
+        EXPECT_EQ(*carried, TranslationIndex(*net)) << scenario.name;
+        std::size_t shared = 0;
+        for (LinkId l = 0; l < n_links; ++l)
+            if (&carried->row(l) == &base_index->row(l)) ++shared;
+        EXPECT_GT(shared, n_links / 2) << scenario.name;
+        EXPECT_LT(shared, n_links) << scenario.name;
+    }
 }
 
 TEST(Sweep, GridShapeAndStats) {

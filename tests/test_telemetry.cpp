@@ -54,6 +54,33 @@ TEST(Telemetry, SpanNestingAndOrdering) {
 #endif
 }
 
+/// A daemon worker drops its completed spans after each request (its
+/// buffer must not grow with every request served); an open span keeps the
+/// buffer, and counters are untouched either way.
+TEST(Telemetry, DiscardThreadSpansKeepsOpenSpansAndCounters) {
+#if !AALWINES_TELEMETRY_ENABLED
+    GTEST_SKIP() << "telemetry compiled out";
+#else
+    telemetry::reset();
+    const auto named = [](const telemetry::Snapshot& snap, const std::string& name) {
+        for (const auto& thread : snap.threads)
+            for (const auto& root : thread.roots)
+                if (root.name == name) return true;
+        return false;
+    };
+    {
+        AALWINES_SPAN("request");
+        telemetry::count(telemetry::Counter::server_requests);
+        telemetry::discard_thread_spans(); // open: nothing dropped
+    }
+    EXPECT_TRUE(named(telemetry::snapshot(), "request"));
+    telemetry::discard_thread_spans();
+    const auto snap = telemetry::snapshot();
+    EXPECT_FALSE(named(snap, "request"));
+    EXPECT_EQ(snap.counter(telemetry::Counter::server_requests), 1u);
+#endif
+}
+
 TEST(Telemetry, OpenSpanSurvivesResetAndIsMarkedOpen) {
 #if !AALWINES_TELEMETRY_ENABLED
     GTEST_SKIP() << "telemetry compiled out";

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "model/quantity.hpp"
 #include "synthesis/dataplane.hpp"
 #include "synthesis/networks.hpp"
@@ -213,39 +215,91 @@ TEST(TranslationChains, MultiPopChainsVerifyEndToEnd) {
 // ---------------------------------------------------------------------------
 // Demand-driven (lazy) translation equivalence.
 
-/// The counting pass behind the lazy interior pool must be *exact*: after
+/// Figure 1 with links administratively down: e2 (an out-link of a
+/// higher-priority group, so lower groups forward for free) and e5.
+Network figure1_with_down_links() {
+    auto net = synthesis::make_figure1_network();
+    for (const auto& [router, interface] : {std::pair{"v0", "e2"}, std::pair{"v2", "e5"}})
+        net.topology.set_link_state(
+            *net.topology.out_link_through(*net.topology.find_router(router), interface),
+            false);
+    return net;
+}
+
+/// The index behind the lazy interior pool must be *exact*: the totals it
+/// yields without any chain walk equal an eager build's, and after
 /// materialize_all the lazy PDA has rule-for-rule and state-for-state the
-/// same totals as an eager build (ids and order may differ), and the pool
-/// is fully consumed — no interior left over, none missing.
+/// same totals as the eager one (ids and order may differ), with the pool
+/// fully consumed — no interior left over, none missing.  Over and Under,
+/// k ∈ {0, 1, 2}, with and without administratively down links.
 TEST_F(TranslationFixture, LazyMaterializeAllMatchesEagerTotals) {
     const std::vector<std::string> queries = {
         "<ip> [.#v0] .* [v3#.] <ip> 0",
         "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0",
         "<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 2",
         "<ip> .* <ip> 1",
+        "<ip> .* <ip> 2",
+        "<mpls* smpls? ip> .* <mpls* smpls? ip> 1",
     };
-    for (const auto& text : queries) {
-        const auto query = parse(text);
-        for (const auto approx : {Approximation::Over, Approximation::Under}) {
-            TranslationOptions eager_opts;
-            eager_opts.approximation = approx;
-            Translation eager(net, query, eager_opts);
+    const auto with_down = figure1_with_down_links();
+    for (const Network* network : std::initializer_list<const Network*>{&net, &with_down}) {
+        for (const auto& text : queries) {
+            const auto query = query::parse_query(text, *network);
+            for (const auto approx : {Approximation::Over, Approximation::Under}) {
+                TranslationOptions eager_opts;
+                eager_opts.approximation = approx;
+                Translation eager(*network, query, eager_opts);
 
-            TranslationOptions lazy_opts = eager_opts;
-            lazy_opts.lazy = true;
-            Translation lazy(net, query, lazy_opts);
-            EXPECT_TRUE(lazy.pda().lazy());
-            EXPECT_EQ(lazy.pda().rule_count(), 0u) << text;
-            EXPECT_EQ(lazy.total_rules(), eager.pda().rule_count()) << text;
+                TranslationOptions lazy_opts = eager_opts;
+                lazy_opts.lazy = true;
+                Translation lazy(*network, query, lazy_opts);
+                EXPECT_TRUE(lazy.pda().lazy());
+                EXPECT_EQ(lazy.pda().rule_count(), 0u) << text;
+                EXPECT_EQ(lazy.total_rules(), eager.pda().rule_count()) << text;
+                EXPECT_EQ(lazy.total_rules(), eager.total_rules()) << text;
+                // State parity pins the interior pool: every chain interior
+                // the eager build created exists in the pool, and vice versa.
+                EXPECT_EQ(lazy.pda().state_count(), eager.pda().state_count()) << text;
 
-            lazy.pda().materialize_all();
-            EXPECT_TRUE(lazy.pda().fully_materialized());
-            EXPECT_EQ(lazy.pda().rule_count(), eager.pda().rule_count()) << text;
-            // State parity pins the interior pool: every chain interior the
-            // eager build created exists in the pool, and vice versa.
-            EXPECT_EQ(lazy.pda().state_count(), eager.pda().state_count()) << text;
+                lazy.pda().materialize_all();
+                EXPECT_TRUE(lazy.pda().fully_materialized());
+                EXPECT_EQ(lazy.pda().rule_count(), eager.pda().rule_count()) << text;
+                EXPECT_EQ(lazy.pda().state_count(), eager.pda().state_count()) << text;
+                EXPECT_EQ(lazy.interior_pool_unused(), 0u) << text;
+            }
         }
     }
+}
+
+/// Every rule leaving a control state gets the key an eager build gives it,
+/// whatever order its labels are demanded in (rule keys drive the weighted
+/// engine's canonical tie-breaks).
+TEST_F(TranslationFixture, LabelDemandKeepsEagerRuleKeys) {
+    const auto query = parse("<mpls* smpls? ip> .* <mpls* smpls? ip> 1");
+    TranslationOptions options;
+    options.approximation = Approximation::Under;
+    Translation eager(net, query, options);
+    options.lazy = true;
+    Translation lazy(net, query, options);
+    // Demand every (control state, label) pair in descending label order.
+    // Control states are the label-granular ones, numbered before interiors.
+    const auto control = [&](pda::StateId s) { return lazy.state_labels(s) != nullptr; };
+    for (pda::StateId s = 0; s < lazy.pda().state_count() && control(s); ++s)
+        for (auto label = static_cast<pda::Symbol>(net.labels.size()); label-- > 0;)
+            lazy.pda().for_each_applicable(s, label, [](pda::RuleId, const auto&) {});
+    const auto control_keys = [&](const pda::Pda& pda) {
+        std::vector<std::pair<pda::RuleKey, std::uint32_t>> keys; // (key, target if control)
+        for (pda::RuleId id = 0; id < pda.rule_slot_count(); ++id) {
+            if (pda.rule_dead(id) || !control(pda.rule(id).from)) continue;
+            const auto to = pda.rule(id).to;
+            keys.emplace_back(pda.rule_canonical_key(id), control(to) ? to : UINT32_MAX);
+        }
+        std::sort(keys.begin(), keys.end());
+        return keys;
+    };
+    EXPECT_FALSE(control_keys(eager.pda()).empty());
+    EXPECT_EQ(control_keys(lazy.pda()), control_keys(eager.pda()));
+    EXPECT_GT(lazy.pda().demanded_label_count(), 0u);
 }
 
 /// Lazy and eager must give identical answers, witness traces and weights
@@ -282,6 +336,11 @@ TEST_F(TranslationFixture, LazyVerifyMatchesEagerVerify) {
         EXPECT_LE(lazy.stats.over.pda_rules_materialized,
                   lazy.stats.over.pda_rules_total)
             << text;
+        // The index-derived total is the eager build's rule count.
+        EXPECT_EQ(lazy.stats.over.pda_rules_total, eager.stats.over.pda_rules_total) << text;
+        EXPECT_EQ(lazy.stats.under.pda_rules_total, eager.stats.under.pda_rules_total) << text;
+        EXPECT_GT(lazy.stats.over.pda_labels_materialized, 0u) << text;
+        EXPECT_EQ(eager.stats.over.pda_labels_materialized, 0u) << text;
     }
 }
 
@@ -290,6 +349,7 @@ TEST_F(TranslationFixture, LazyVerifyMatchesEagerVerify) {
 TEST_F(TranslationFixture, LazyWeightedVerifyMatchesEager) {
     const auto query = parse("<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1");
     const auto weights = parse_weight_expression("hops, failures + 3*tunnels");
+    std::vector<VerifyResult> results;
     for (const auto mode : {TranslationMode::Lazy, TranslationMode::Eager}) {
         VerifyOptions options;
         options.engine = EngineKind::Weighted;
@@ -301,7 +361,13 @@ TEST_F(TranslationFixture, LazyWeightedVerifyMatchesEager) {
         ASSERT_TRUE(result.trace.has_value());
         EXPECT_EQ(evaluate(net, *result.trace, weights),
                   (std::vector<std::uint64_t>{5, 0}));
+        results.push_back(result);
     }
+    // Canonical tie-breaks make the weighted witness demand-order proof.
+    EXPECT_EQ(*results[0].trace, *results[1].trace);
+    EXPECT_EQ(results[0].stats.over.pda_rules_total, results[1].stats.over.pda_rules_total);
+    EXPECT_LT(results[0].stats.over.pda_rules_materialized,
+              results[0].stats.over.pda_rules_total);
 }
 
 /// Battery-level equivalence on a synthesized operator network, including a
@@ -331,12 +397,88 @@ TEST(TranslationLazy, NordunetBatteryMatchesEagerAndSavesWork) {
         if (lazy.trace && eager.trace && lazy.stats.over.solver_threads == 1 &&
             eager.stats.over.solver_threads == 1)
             EXPECT_EQ(*lazy.trace, *eager.trace) << text;
+        EXPECT_EQ(lazy.stats.over.pda_rules_total, eager.stats.over.pda_rules_total) << text;
+        EXPECT_EQ(lazy.stats.under.pda_rules_total, eager.stats.under.pda_rules_total) << text;
         if (lazy.stats.over.pda_rules_materialized < lazy.stats.over.pda_rules_total)
             ++partial;
+    }
+    // The index sizes Over and Under at k = 0, 1, 2 exactly, with and
+    // without down links, and materialize_all consumes the pool.
+    auto with_down = net;
+    for (LinkId link = 0; link < with_down.topology.link_count(); link += 7)
+        with_down.topology.set_link_state(link, false);
+    for (const Network* network : std::initializer_list<const Network*>{&net, &with_down}) {
+        for (const auto k : {0, 1, 2}) {
+            const auto query = query::parse_query(
+                "<smpls? ip> .* <smpls? ip> " + std::to_string(k), *network);
+            for (const auto approx : {Approximation::Over, Approximation::Under}) {
+                TranslationOptions options;
+                options.approximation = approx;
+                Translation eager(*network, query, options);
+                options.lazy = true;
+                Translation lazy(*network, query, options);
+                EXPECT_EQ(lazy.total_rules(), eager.pda().rule_count()) << "k " << k;
+                EXPECT_EQ(lazy.pda().state_count(), eager.pda().state_count()) << "k " << k;
+                lazy.pda().materialize_all();
+                EXPECT_EQ(lazy.pda().rule_count(), eager.pda().rule_count()) << "k " << k;
+                EXPECT_EQ(lazy.interior_pool_unused(), 0u) << "k " << k;
+            }
+        }
     }
     // Early termination must leave at least some batteries partially
     // materialized — otherwise the lazy path degenerated to eager-with-steps.
     EXPECT_GT(partial, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The per-snapshot translation index.
+
+/// One index per snapshot: every translation of an unchanged network reads
+/// the memoized one, and it equals a build from scratch.
+TEST_F(TranslationFixture, IndexIsMemoizedPerSnapshot) {
+    const auto query = parse("<ip> [.#v0] .* [v3#.] <ip> 0");
+    TranslationOptions options;
+    options.lazy = true;
+    Translation first(net, query, options);
+    Translation second(net, query, options);
+    EXPECT_EQ(&first.index(), &second.index());
+    EXPECT_EQ(&first.index(), TranslationIndex::of(net).get());
+    EXPECT_EQ(first.index(), TranslationIndex(net));
+    // A copy has equal content: it keeps the index until it is mutated.
+    const auto copy = net;
+    EXPECT_EQ(TranslationIndex::of(copy).get(), &first.index());
+}
+
+/// A network mutated after its first query is never answered from the
+/// index of its old content: entry edits and link flips restamp it.
+TEST(TranslationIndexFreshness, MutatedNetworkIsNeverServedStale) {
+    const std::string text = "<ip> [.#v0] .* [v3#.] <ip> 0";
+    auto net = synthesis::make_figure1_network();
+    const auto canonical_answer = [&](const Network& network) {
+        const auto result = verify(network, query::parse_query(text, network), {});
+        std::string out(to_string(result.answer));
+        if (result.trace) out += " " + std::to_string(result.trace->size());
+        return out;
+    };
+    const auto v0 = *net.topology.find_router("v0");
+    const auto e0 = *net.topology.in_link_through(v0, "e0");
+    const auto e1 = *net.topology.out_link_through(v0, "e1");
+    const auto ip1 = *net.labels.find(LabelType::Ip, "ip1");
+    const std::vector<std::function<void(Network&)>> mutations = {
+        [&](Network& n) { n.topology.set_link_state(e1, false); },
+        [&](Network& n) { n.routing.remove_entry(e0, ip1); },
+        [&](Network& n) { n.topology.set_link_state(e1, true); },
+    };
+    auto fresh = synthesis::make_figure1_network();
+    EXPECT_EQ(canonical_answer(net), canonical_answer(fresh));
+    for (const auto& mutate : mutations) {
+        const auto before = TranslationIndex::of(net);
+        mutate(net);
+        mutate(fresh);
+        EXPECT_NE(TranslationIndex::of(net).get(), before.get());
+        EXPECT_EQ(*TranslationIndex::of(net), TranslationIndex(net));
+        EXPECT_EQ(canonical_answer(net), canonical_answer(fresh));
+    }
 }
 
 } // namespace
