@@ -79,9 +79,8 @@ struct VerifySpec {
     /// PDA rule materialization: auto | lazy | eager (auto picks lazy for
     /// dual/weighted, eager for moped/exact).
     std::string translation = "auto";
-    /// Saturation worker threads: "" = inherit the AALWINES_SOLVER_THREADS
-    /// environment override (default sequential), "auto" = size from the
-    /// hardware and problem, otherwise a positive count.
+    /// Ignored (saturation is sequential); kept because perfbench/ still
+    /// assigns it.
     std::string solver_threads;
 };
 

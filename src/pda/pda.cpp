@@ -240,25 +240,6 @@ void Pda::demand(StateId state, const nfa::SymbolSet& label) const {
         if (label.contains((*labels)[i])) demand_label(state, *labels, i);
 }
 
-void Pda::prefetch_state(StateId state, Symbol label) const {
-    ensure_materialized(state, label);
-    warm_class_sets(state);
-}
-
-void Pda::prefetch_state(StateId state, const nfa::SymbolSet& label) const {
-    ensure_materialized(state, label);
-    warm_class_sets(state);
-}
-
-void Pda::warm_class_sets(StateId state) const {
-    // Warming a class set fills the mutable _class_sets cache — the write
-    // the parallel expansion phase must never race on.
-    for (const auto& [cls, list] : _match_by_state[state].classes) {
-        (void)list;
-        (void)class_set(cls);
-    }
-}
-
 void Pda::materialize_all() const {
     if (_provider == nullptr) return;
     // Chain interiors are filled (and marked) together with the control

@@ -295,17 +295,6 @@ public:
     /// (chain interiors).
     void mark_materialized(StateId state);
 
-    /// Warm every lazily-built structure a read of `state`'s rules for top
-    /// symbol(s) `label` touches: materializes the rules (lazy mode: the
-    /// state, or the demanded labels of a label-granular one) and builds the
-    /// class-set cache entries its class rules consult.  After this,
-    /// `for_each_applicable(state, label, …)` is a pure read — the parallel
-    /// solver prefetches its round's frontier serially so the expansion
-    /// phase can run the match index from many threads without
-    /// synchronization.
-    void prefetch_state(StateId state, Symbol label) const;
-    void prefetch_state(StateId state, const nfa::SymbolSet& label) const;
-
     /// Demand every remaining state's rules (no-op without a provider).
     /// Logically const: materialization is memoized evaluation of the fixed
     /// rule set the provider denotes.  pre* and whole-PDA passes
@@ -364,7 +353,6 @@ private:
         return _label_marks.find(concrete_key(state, label)) == _demand_epoch[state];
     }
     void materialize_state(StateId state) const; ///< whole-state demand
-    void warm_class_sets(StateId state) const;   ///< see prefetch_state
     /// Flag `state` whole-materialized (first demand counts it).
     void set_materialized(StateId state) const;
     /// Record that saturation asked for some of `state`'s rules.

@@ -8,7 +8,6 @@
 //     sequences are reconstructed without a second search.
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "nfa/nfa.hpp"
 #include "pda/pautomaton.hpp"
 #include "util/arena.hpp"
-#include "util/task_pool.hpp"
 
 namespace aalwines::pda {
 
@@ -26,29 +24,11 @@ namespace aalwines::pda {
 /// re-allocating.  Two arenas because the searches run *re-entrantly* inside
 /// saturation (SolverOptions::check_accepted → find_accepted): one arena
 /// would be reset under the worklist's live bucket nodes.  Not thread-safe:
-/// one workspace per thread (the parallel solver's worker threads live
-/// *inside* one workspace-owning call, they never share a workspace between
-/// calls).
+/// one workspace per thread.
 struct SolverWorkspace {
     util::Arena worklist; ///< post*/pre* bucket-queue nodes
     util::Arena search;   ///< find_accepted product-graph nodes
-    /// Parallel saturation (SolverOptions::threads > 1) caches its worker
-    /// pool and per-shard arenas here, so repeated queries on one workspace
-    /// reuse threads and high-water shard memory.
-    std::unique_ptr<util::TaskPool> pool;
-    std::vector<util::Arena> shard_arenas;
 };
-
-/// Sentinel for SolverOptions::threads / AALWINES_SOLVER_THREADS=auto: pick
-/// a thread count from the hardware and the problem size (1 when the
-/// problem is small, weights are non-scalar, or the machine has one core).
-inline constexpr std::size_t k_solver_threads_auto = SIZE_MAX;
-
-/// Deterministic owner shard of a control/automaton state (splitmix-style
-/// hash of the interned state id).  Exposed so tests can pin the
-/// assignment: rebalancing changes must show up in review, not silently
-/// reshuffle every parallel run.
-[[nodiscard]] unsigned solver_shard_of(StateId state, unsigned shard_count) noexcept;
 
 /// Worklist discipline for the saturation Dijkstra loop.
 enum class Worklist : std::uint8_t {
@@ -66,15 +46,6 @@ struct SolverOptions {
 
     /// Optional scratch-memory workspace reused across calls.
     SolverWorkspace* workspace = nullptr;
-
-    /// Saturation worker threads.  0 (the default) reads the
-    /// AALWINES_SOLVER_THREADS environment override ("auto" or a count;
-    /// unset → 1).  k_solver_threads_auto sizes from the hardware.  Any
-    /// resolved count above 1 runs the sharded parallel loop — results
-    /// (accepting sets and minimal weights) are identical to sequential;
-    /// equal-weight witness tie-breaks may differ.  Forced back to 1 when
-    /// the bucket worklist is ineligible (non-scalar weights, Heap).
-    std::size_t threads = 0;
 
     /// Stop after this many finalized items (0 = unlimited).  A safety valve
     /// for benchmark timeouts; saturation is still sound when hit (the
@@ -102,16 +73,6 @@ struct SolverStats {
     bool truncated = false;
     bool early_terminated = false;
     bool bucket_worklist = false; ///< the bucket queue was used for this run
-
-    // Parallel saturation (threads_used > 1 only when the sharded loop ran).
-    std::size_t threads_used = 1;
-    std::size_t rounds = 0;   ///< level-synchronous key rounds executed
-    std::size_t handoffs = 0; ///< staged tuples routed to a different shard
-    std::vector<std::size_t> shard_pops; ///< per-shard finalized items
-    /// max/mean of shard_pops (1.0 = perfectly balanced, threads = one shard
-    /// did all the work); 0 when the sharded loop did not run or popped
-    /// nothing.  The measurable target for work-stealing (ROADMAP item 1a).
-    double shard_imbalance = 0.0;
 };
 
 /// Saturate `aut` (which initially accepts the source configurations C)

@@ -333,7 +333,6 @@ http::Response Service::handle_query(const http::Request& request,
     spec.max_iterations = size_field(object, "maxIterations", 0);
     spec.translation = string_field(object, "translation");
     if (spec.translation.empty()) spec.translation = "auto";
-    spec.solver_threads = string_field(object, "solverThreads");
     const bool stats = bool_field(object, "stats", false);
     auto jobs = size_field(object, "jobs", 1);
     const auto max_jobs = _config.max_jobs != 0
@@ -518,7 +517,6 @@ http::Response Service::handle_sweep(const http::Request& request,
     spec.max_iterations = size_field(object, "maxIterations", 0);
     spec.translation = string_field(object, "translation");
     if (spec.translation.empty()) spec.translation = "auto";
-    spec.solver_threads = string_field(object, "solverThreads");
     const bool stats = bool_field(object, "stats", false);
     auto jobs = size_field(object, "jobs", 0); // 0 = one worker per chain, capped
     const auto max_jobs = _config.max_jobs != 0

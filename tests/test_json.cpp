@@ -54,8 +54,8 @@ TEST(JsonWriter, RoundTrips) {
     object.emplace("count", Value(31));
     object.emplace("ratio", Value(0.125));
     Array list;
-    list.push_back(Value(true));
-    list.push_back(Value(nullptr));
+    list.emplace_back(true);
+    list.emplace_back(nullptr);
     object.emplace("flags", Value(std::move(list)));
 
     const Value original{std::move(object)};

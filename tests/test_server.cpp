@@ -245,6 +245,40 @@ TEST(Server, QueryOptionsSelectEngineAndWeights) {
     EXPECT_EQ(bad_engine.status, 400);
 }
 
+/// Saturation is sequential, so "solverThreads" (still sent by older
+/// clients) is ignored like any unknown field: it changes neither the answer
+/// nor the cache entry a query maps to.
+TEST(Server, SolverThreadsFieldIsIgnored) {
+    const auto plain = std::string(R"({"query":")") + k_yes_query + R"("})";
+    const auto threaded =
+        std::string(R"({"query":")") + k_yes_query + R"(","solverThreads":"4"})";
+
+    // Cold, on two fresh daemons: identical but for the wall clock.
+    json::Value cold[2];
+    for (int i = 0; i < 2; ++i) {
+        Daemon daemon;
+        const auto id = daemon.load_figure1();
+        const auto reply = roundtrip(daemon.server.port(), "POST",
+                                     "/networks/" + id + "/query", i == 0 ? plain : threaded);
+        ASSERT_EQ(reply.status, 200) << reply.raw;
+        cold[i] = parse_body(reply);
+        cold[i].as_object().erase("seconds");
+    }
+    EXPECT_EQ(cold[0], cold[1]);
+
+    // Warm: both forms hit the one cache entry, byte for byte.
+    Daemon daemon;
+    const auto id = daemon.load_figure1();
+    const auto target = "/networks/" + id + "/query";
+    ASSERT_EQ(roundtrip(daemon.server.port(), "POST", target, plain).status, 200);
+    const auto without = roundtrip(daemon.server.port(), "POST", target, plain);
+    const auto with = roundtrip(daemon.server.port(), "POST", target, threaded);
+    ASSERT_EQ(without.status, 200) << without.raw;
+    ASSERT_EQ(with.status, 200) << with.raw;
+    EXPECT_TRUE(parse_body(with).at("cached").as_bool());
+    EXPECT_EQ(with.body, without.body);
+}
+
 TEST(Server, ErrorStatusCodes) {
     Daemon daemon;
     // Unknown network id.

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <thread>
+#include <vector>
 
 #include "model/quantity.hpp"
+#include "pda/solver.hpp"
 #include "synthesis/dataplane.hpp"
 #include "synthesis/networks.hpp"
 #include "synthesis/queries.hpp"
@@ -325,12 +328,9 @@ TEST_F(TranslationFixture, LazyVerifyMatchesEagerVerify) {
         EXPECT_EQ(lazy.answer, eager.answer) << text;
         EXPECT_EQ(lazy.weight, eager.weight) << text;
         ASSERT_EQ(lazy.trace.has_value(), eager.trace.has_value()) << text;
-        // Byte-identical traces are a sequential-solver guarantee: the
-        // parallel solver shards by state id, and lazy translation interns
-        // states in demand order, so equal-weight tie-breaks may differ.
-        if (lazy.trace && eager.trace && lazy.stats.over.solver_threads == 1 &&
-            eager.stats.over.solver_threads == 1)
+        if (lazy.trace) {
             EXPECT_EQ(*lazy.trace, *eager.trace) << text;
+        }
         EXPECT_TRUE(lazy.stats.over.lazy_translation) << text;
         EXPECT_FALSE(eager.stats.over.lazy_translation) << text;
         EXPECT_LE(lazy.stats.over.pda_rules_materialized,
@@ -392,11 +392,9 @@ TEST(TranslationLazy, NordunetBatteryMatchesEagerAndSavesWork) {
         EXPECT_EQ(lazy.answer, eager.answer) << text;
         EXPECT_EQ(lazy.weight, eager.weight) << text;
         ASSERT_EQ(lazy.trace.has_value(), eager.trace.has_value()) << text;
-        // See LazyVerifyMatchesEagerVerify: byte-equality of traces only
-        // holds for the sequential solver's tie-break order.
-        if (lazy.trace && eager.trace && lazy.stats.over.solver_threads == 1 &&
-            eager.stats.over.solver_threads == 1)
+        if (lazy.trace) {
             EXPECT_EQ(*lazy.trace, *eager.trace) << text;
+        }
         EXPECT_EQ(lazy.stats.over.pda_rules_total, eager.stats.over.pda_rules_total) << text;
         EXPECT_EQ(lazy.stats.under.pda_rules_total, eager.stats.under.pda_rules_total) << text;
         if (lazy.stats.over.pda_rules_materialized < lazy.stats.over.pda_rules_total)
@@ -479,6 +477,41 @@ TEST(TranslationIndexFreshness, MutatedNetworkIsNeverServedStale) {
         EXPECT_EQ(*TranslationIndex::of(net), TranslationIndex(net));
         EXPECT_EQ(canonical_answer(net), canonical_answer(fresh));
     }
+}
+
+/// Two threads run their first query on one fresh snapshot at once: its
+/// translation index is built exactly once — both translations read the
+/// very object the snapshot memoizes — and without a data race (the tsan
+/// CI job runs this test).  Answers match a single-threaded run.
+TEST(TranslationIndexConcurrency, TwoFirstQueriesBuildOneIndex) {
+    const auto synth = synthesis::make_nordunet_like(40, 1);
+    const auto& net = synth.network;
+    const auto queries = synthesis::make_table1_queries(synth);
+    ASSERT_GE(queries.size(), 2u);
+    const TranslationIndex* seen[2] = {nullptr, nullptr};
+    Answer answers[2] = {Answer::Inconclusive, Answer::Inconclusive};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 2; ++t)
+        threads.emplace_back([&, t] {
+            const auto query = query::parse_query(queries[t], net);
+            TranslationOptions options;
+            options.lazy = true;
+            Translation translation(net, query, options);
+            auto automaton = translation.make_initial_automaton();
+            (void)pda::post_star(automaton);
+            seen[t] = &translation.index();
+            answers[t] = verify(net, query, {}).answer;
+        });
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(seen[0], seen[1]);
+    EXPECT_EQ(seen[0], TranslationIndex::of(net).get());
+
+    const auto fresh = synthesis::make_nordunet_like(40, 1);
+    for (std::size_t t = 0; t < 2; ++t)
+        EXPECT_EQ(answers[t],
+                  verify(fresh.network, query::parse_query(queries[t], fresh.network), {})
+                      .answer)
+            << queries[t];
 }
 
 } // namespace
