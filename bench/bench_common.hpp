@@ -56,19 +56,6 @@ inline void record_sample(std::string label, double seconds, verify::Answer answ
     store.samples.push_back({std::move(label), seconds, std::string(to_string(answer))});
 }
 
-/// Translation mode for every run_engine call, from the environment:
-/// AALWINES_BENCH_TRANSLATION = lazy | eager | auto (default auto — the
-/// production per-engine default).  Lets scripts/bench-ci run one binary
-/// under both modes without doubling the registered case list.
-inline verify::TranslationMode env_translation_mode() {
-    const char* value = std::getenv("AALWINES_BENCH_TRANSLATION");
-    if (value == nullptr) return verify::TranslationMode::Auto;
-    const std::string_view mode(value);
-    if (mode == "lazy") return verify::TranslationMode::Lazy;
-    if (mode == "eager") return verify::TranslationMode::Eager;
-    return verify::TranslationMode::Auto;
-}
-
 inline RunOutcome run_engine(const Network& network, const query::Query& query,
                              verify::EngineKind engine, const WeightExpr* weights,
                              std::size_t max_iterations = 0) {
@@ -76,7 +63,6 @@ inline RunOutcome run_engine(const Network& network, const query::Query& query,
     options.engine = engine;
     options.weights = weights;
     options.max_iterations = max_iterations;
-    options.translation = env_translation_mode();
     const auto start = std::chrono::steady_clock::now();
     const auto result = verify::verify(network, query, options);
     const auto seconds =

@@ -31,28 +31,13 @@ Instance make_instance(std::size_t ring_size) {
     return instance;
 }
 
-void post_star_saturation(benchmark::State& state) {
-    const auto instance = make_instance(static_cast<std::size_t>(state.range(0)));
-    const auto query =
-        query::parse_query(instance.query_text, instance.net.network);
-    for (auto _ : state) {
-        verify::Translation translation(instance.net.network, query, {});
-        translation.reduce(2);
-        auto aut = translation.make_initial_automaton();
-        const auto stats = pda::post_star(aut);
-        benchmark::DoNotOptimize(stats.transitions);
-        state.counters["transitions"] = static_cast<double>(stats.transitions);
-        state.counters["rules"] = static_cast<double>(translation.pda().rule_count());
-    }
-}
-
 void pre_star_saturation(benchmark::State& state) {
     const auto instance = make_instance(static_cast<std::size_t>(state.range(0)));
     const auto query =
         query::parse_query(instance.query_text, instance.net.network);
     for (auto _ : state) {
+        // pre* needs the whole PDA: the solver materializes every rule.
         verify::Translation translation(instance.net.network, query, {});
-        translation.reduce(2);
         auto aut = translation.make_final_automaton();
         const auto stats = pda::pre_star(aut);
         benchmark::DoNotOptimize(stats.transitions);
@@ -69,23 +54,19 @@ void weighted_post_star(benchmark::State& state) {
         verify::TranslationOptions topts;
         topts.weights = &weights;
         verify::Translation translation(instance.net.network, query, topts);
-        translation.reduce(2);
         auto aut = translation.make_initial_automaton();
         benchmark::DoNotOptimize(pda::post_star(aut).transitions);
     }
 }
 
-/// Demand-driven counterpart of post_star_saturation: no reduction pass
-/// (the per-state demand filter subsumes it); rules materialize as the
-/// worklist reaches their states.
+/// Demand-driven post*: rules materialize as the worklist reaches their
+/// (state, top label) pairs.
 void post_star_saturation_lazy(benchmark::State& state) {
     const auto instance = make_instance(static_cast<std::size_t>(state.range(0)));
     const auto query =
         query::parse_query(instance.query_text, instance.net.network);
     for (auto _ : state) {
-        verify::TranslationOptions topts;
-        topts.lazy = true;
-        verify::Translation translation(instance.net.network, query, topts);
+        verify::Translation translation(instance.net.network, query, {});
         auto aut = translation.make_initial_automaton();
         const auto stats = pda::post_star(aut);
         benchmark::DoNotOptimize(stats.transitions);
@@ -96,17 +77,7 @@ void post_star_saturation_lazy(benchmark::State& state) {
     }
 }
 
-void translation_only(benchmark::State& state) {
-    const auto instance = make_instance(static_cast<std::size_t>(state.range(0)));
-    const auto query =
-        query::parse_query(instance.query_text, instance.net.network);
-    for (auto _ : state) {
-        verify::Translation translation(instance.net.network, query, {});
-        benchmark::DoNotOptimize(translation.pda().rule_count());
-    }
-}
-
-/// Lazy setup cost alone: control states, move index, and sizing the
+/// Translation setup cost alone: control states, move index, and sizing the
 /// interior pool from the snapshot's translation index (built by the first
 /// iteration, memoized on the network after) — no rule is emitted.
 void translation_only_lazy(benchmark::State& state) {
@@ -114,9 +85,7 @@ void translation_only_lazy(benchmark::State& state) {
     const auto query =
         query::parse_query(instance.query_text, instance.net.network);
     for (auto _ : state) {
-        verify::TranslationOptions topts;
-        topts.lazy = true;
-        verify::Translation translation(instance.net.network, query, topts);
+        verify::Translation translation(instance.net.network, query, {});
         benchmark::DoNotOptimize(translation.total_rules());
     }
 }
@@ -129,8 +98,7 @@ void nordunet_scaling(benchmark::State& state) {
     const auto net = synthesis::make_nordunet_like(chains, 1);
     const auto queries = synthesis::make_table1_queries(net);
     const auto query = query::parse_query(queries[0], net.network);
-    verify::VerifyOptions options;
-    options.translation = bench::env_translation_mode();
+    const verify::VerifyOptions options;
     verify::VerifyResult last;
     for (auto _ : state) {
         last = verify::verify(net.network, query, options);
@@ -151,7 +119,6 @@ void nordunet_scaling_moped(benchmark::State& state) {
     const auto query = query::parse_query(queries[0], net.network);
     verify::VerifyOptions options;
     options.engine = verify::EngineKind::Moped;
-    options.translation = bench::env_translation_mode();
     for (auto _ : state) {
         benchmark::DoNotOptimize(verify::verify(net.network, query, options));
     }
@@ -160,7 +127,6 @@ void nordunet_scaling_moped(benchmark::State& state) {
 
 } // namespace
 
-BENCHMARK(post_star_saturation)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 BENCHMARK(post_star_saturation_lazy)
     ->Arg(8)
     ->Arg(16)
@@ -168,7 +134,6 @@ BENCHMARK(post_star_saturation_lazy)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(pre_star_saturation)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 BENCHMARK(weighted_post_star)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
-BENCHMARK(translation_only)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 BENCHMARK(translation_only_lazy)
     ->Arg(8)
     ->Arg(16)

@@ -51,10 +51,6 @@ void usage(std::ostream& out) {
         "  --engine E           moped | dual | weighted | exact  (default dual)\n"
         "  --weight W           weight vector, e.g. 'hops, failures + 3*tunnels'\n"
         "                       (implies --engine weighted)\n"
-        "  --reduction N        PDA reduction level 0|1|2  (default 2)\n"
-        "  --translation M      PDA rule materialization: auto | lazy | eager\n"
-        "                       (auto: demand-driven for dual/weighted, eager\n"
-        "                       for moped/exact)\n"
         "  --locations FILE     apply router coordinates (JSON)\n"
         "  --queries-file F     read one query per line from F ('#' comments)\n"
         "  --battery N          also verify N generated battery queries (the\n"
@@ -75,8 +71,8 @@ void usage(std::ostream& out) {
         "  --html FILE          write an HTML report with topology + witness paths\n"
         "  --stats              print engine statistics\n"
         "  --explain            print a per-query phase breakdown (translate /\n"
-        "                       reduce / saturate / accept / witness, per pass,\n"
-        "                       plus materialized vs total rules)\n"
+        "                       saturate / accept / witness, per pass, plus\n"
+        "                       materialized vs total rules)\n"
         "  --trace-json FILE    write the telemetry trace (span tree + counters)\n"
         "                       as JSON on exit (see docs/OBSERVABILITY.md)\n"
         "  --trace-chrome FILE  write the span tree as Chrome trace-event JSON\n"
@@ -189,23 +185,19 @@ void print_explain(const verify::VerifyStats& stats) {
         if (!phase.ran) return;
         const auto ms = [](double seconds) { return seconds * 1000.0; };
         std::cout << "  " << name << ": translate " << ms(phase.translate_seconds)
-                  << "ms  reduce " << ms(phase.reduce_seconds) << "ms  saturate "
-                  << ms(phase.saturate_seconds) << "ms  accept "
+                  << "ms  saturate " << ms(phase.saturate_seconds) << "ms  accept "
                   << ms(phase.accept_seconds) << "ms  witness "
                   << ms(phase.witness_seconds) << "ms  (phase total "
                   << ms(phase.seconds) << "ms)\n";
         std::cout << "    rules: " << phase.pda_rules_materialized << " materialized of "
                   << phase.pda_rules_total << " total";
-        if (phase.lazy_translation && phase.pda_rules_total > 0)
+        if (phase.pda_rules_total > 0)
             std::cout << " ("
                       << 100 * phase.pda_rules_materialized / phase.pda_rules_total
-                      << "%, lazy; materialization happens inside saturate)";
-        else if (!phase.lazy_translation)
-            std::cout << " (eager)";
+                      << "%; materialization happens inside saturate)";
         std::cout << "\n";
-        if (phase.lazy_translation)
-            std::cout << "    labels: " << phase.pda_labels_materialized
-                      << " (state, top label) pairs demanded\n";
+        std::cout << "    labels: " << phase.pda_labels_materialized
+                  << " (state, top label) pairs demanded\n";
         if (phase.truncated) std::cout << "    truncated: iteration cap hit\n";
     };
     std::cout << "  explain (total " << stats.total_seconds * 1000.0 << "ms):\n";
@@ -235,19 +227,13 @@ void print_result_text(const Network& network, const verify::VerifyResult& resul
     if (stats) {
         std::cout << "  time: " << result.stats.total_seconds << "s"
                   << "  pda-rules: " << result.stats.over.pda_rules << " (of "
-                  << result.stats.over.pda_rules_before_reduction
-                  << " before reduction)"
+                  << result.stats.over.pda_rules_total << " total)"
                   << "  saturation-iterations: "
                   << result.stats.over.saturation_iterations
                   << "  relaxations: " << result.stats.over.worklist_relaxations
                   << "  peak-worklist: " << result.stats.over.peak_worklist << "\n";
-        if (result.stats.over.lazy_translation)
-            std::cout << "  materialized-rules: "
-                      << result.stats.over.pda_rules_materialized << " of "
-                      << result.stats.over.pda_rules_total
-                      << "  materialized-states: "
-                      << result.stats.over.pda_states_materialized << " of "
-                      << result.stats.over.pda_states << "\n";
+        std::cout << "  materialized-states: " << result.stats.over.pda_states_materialized
+                  << " of " << result.stats.over.pda_states << "\n";
         if (result.stats.over.pda_rules_expanded != 0)
             std::cout << "  expanded-pda-rules: " << result.stats.over.pda_rules_expanded
                       << "  expanded-pda-states: " << result.stats.over.pda_states_expanded

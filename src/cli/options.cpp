@@ -134,9 +134,6 @@ Network load_network(const NetworkDocuments& documents) {
 
 verify::VerifyOptions make_verify_options(const VerifySpec& spec, WeightExpr& weights) {
     verify::VerifyOptions options;
-    if (spec.reduction < 0 || spec.reduction > 2)
-        throw usage_error("--reduction expects 0, 1 or 2");
-    options.reduction_level = spec.reduction;
     options.build_trace = spec.trace;
     options.max_witnesses = spec.witnesses;
     options.max_iterations = spec.max_iterations;
@@ -155,12 +152,6 @@ verify::VerifyOptions make_verify_options(const VerifySpec& spec, WeightExpr& we
         throw usage_error("unknown engine '" + spec.engine +
                           "' (moped, dual, weighted or exact)");
     }
-    if (spec.translation == "lazy") options.translation = verify::TranslationMode::Lazy;
-    else if (spec.translation == "eager")
-        options.translation = verify::TranslationMode::Eager;
-    else if (spec.translation != "auto")
-        throw usage_error("unknown translation mode '" + spec.translation +
-                          "' (auto, lazy or eager)");
     return options;
 }
 
@@ -202,9 +193,7 @@ Cli parse_cli(int argc, char** argv) {
         else if (arg == "--locations") cli.source.locations_file = value(i);
         else if (arg == "--query" || arg == "-q") cli.queries.push_back(value(i));
         else if (arg == "--engine") cli.spec.engine = value(i);
-        else if (arg == "--translation") cli.spec.translation = value(i);
         else if (arg == "--weight") cli.spec.weight = value(i);
-        else if (arg == "--reduction") cli.spec.reduction = parse_int(arg, value(i));
         else if (arg == "--jobs") cli.jobs = parse_size(arg, value(i));
         else if (arg == "--queries-file") cli.queries_file = value(i);
         else if (arg == "--battery") cli.battery = parse_size(arg, value(i));
@@ -264,9 +253,7 @@ SweepCli parse_sweep_cli(int argc, char** argv, int first) {
             sweep.single_failures = true;
             sweep.single_failure_cap = parse_size(arg, value(i));
         } else if (arg == "--engine") sweep.spec.engine = value(i);
-        else if (arg == "--translation") sweep.spec.translation = value(i);
         else if (arg == "--weight") sweep.spec.weight = value(i);
-        else if (arg == "--reduction") sweep.spec.reduction = parse_int(arg, value(i));
         else if (arg == "--max-iterations")
             sweep.spec.max_iterations = parse_size(arg, value(i));
         else if (arg == "--no-trace") sweep.spec.trace = false;

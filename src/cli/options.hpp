@@ -72,12 +72,12 @@ struct NetworkDocuments {
 struct VerifySpec {
     std::string engine = "dual"; ///< moped | dual | weighted | exact
     std::string weight;          ///< weight expression (implies weighted)
-    int reduction = 2;           ///< PDA reduction level 0|1|2
+    /// Nothing reads this; kept because perfbench/ assigns it.
+    int reduction = 2;
     bool trace = true;           ///< reconstruct witness traces
     std::size_t witnesses = 1;   ///< max distinct witness traces
     std::size_t max_iterations = 0; ///< saturation cap, 0 = unlimited
-    /// PDA rule materialization: auto | lazy | eager (auto picks lazy for
-    /// dual/weighted, eager for moped/exact).
+    /// Nothing reads this; kept because perfbench/ assigns it.
     std::string translation = "auto";
     /// Ignored (saturation is sequential); kept because perfbench/ still
     /// assigns it.

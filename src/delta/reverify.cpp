@@ -22,26 +22,19 @@ std::string session_key(const std::string& query, const cli::VerifySpec& spec) {
     key += k_sep;
     key += spec.weight;
     key += k_sep;
-    key += std::to_string(spec.reduction);
-    key += k_sep;
     key += spec.trace ? '1' : '0';
     key += k_sep;
     key += std::to_string(spec.witnesses);
     key += k_sep;
     key += std::to_string(spec.max_iterations);
-    key += k_sep;
-    key += spec.translation;
     return key;
 }
 
-/// Only the native post* engines with a lazy translation can rebase; Moped
-/// re-serialises and Exact re-enumerates from scratch every time, so a
-/// session would buy nothing.
+/// Only the native post* engines can rebase; Moped re-serialises and Exact
+/// re-enumerates from scratch every time, so a session would buy nothing.
 bool warm_capable(const verify::VerifyOptions& options) {
-    if (options.engine != verify::EngineKind::Dual &&
-        options.engine != verify::EngineKind::Weighted)
-        return false;
-    return verify::use_lazy_translation(options.translation, options.engine);
+    return options.engine == verify::EngineKind::Dual ||
+           options.engine == verify::EngineKind::Weighted;
 }
 
 } // namespace
@@ -249,8 +242,7 @@ Reverifier::Outcome Reverifier::verify(const std::string& query_text,
                 session->options = cli::make_verify_options(spec, session->weights);
                 session->has_result = false;
                 session->cache = std::make_unique<verify::TranslationCache>(
-                    *session->network, session->query, session->options.weights,
-                    /*lazy=*/true);
+                    *session->network, session->query, session->options.weights);
             } catch (...) {
                 drop();
                 throw;
@@ -293,7 +285,7 @@ Reverifier::Outcome Reverifier::verify(const std::string& query_text,
     }
 
     fresh->cache = std::make_unique<verify::TranslationCache>(
-        *fresh->network, fresh->query, fresh->options.weights, /*lazy=*/true);
+        *fresh->network, fresh->query, fresh->options.weights);
 
     {
         const util::MutexLock lock(_mutex);

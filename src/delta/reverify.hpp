@@ -20,7 +20,7 @@
 //   Cold   — rebuild from scratch: first sight of the query, a delta that
 //            minted a new label (alphabet change), an effects window
 //            overflow, a concurrently busy session, or an engine/mode the
-//            warm path does not support (only lazy dual/weighted qualify).
+//            warm path does not support (only dual/weighted qualify).
 //
 // Thread-safe: apply() and verify() may race freely; a session is used by
 // at most one verification at a time (competitors fall back to Cold).

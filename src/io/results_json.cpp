@@ -24,18 +24,14 @@ std::string ops_between(const Network& network, const TraceEntry& current,
 json::Value phase_to_json(const verify::PhaseStats& phase) {
     json::Object object;
     object.emplace("pdaRules", phase.pda_rules);
-    object.emplace("pdaRulesBeforeReduction", phase.pda_rules_before_reduction);
     object.emplace("pdaStates", phase.pda_states);
     if (phase.pda_rules_expanded != 0) {
         object.emplace("pdaRulesExpanded", phase.pda_rules_expanded);
         object.emplace("pdaStatesExpanded", phase.pda_states_expanded);
     }
-    if (phase.lazy_translation) {
-        object.emplace("lazyTranslation", true);
-        object.emplace("pdaRulesTotal", phase.pda_rules_total);
-        object.emplace("pdaRulesMaterialized", phase.pda_rules_materialized);
-        object.emplace("pdaStatesMaterialized", phase.pda_states_materialized);
-    }
+    object.emplace("pdaRulesTotal", phase.pda_rules_total);
+    object.emplace("pdaRulesMaterialized", phase.pda_rules_materialized);
+    object.emplace("pdaStatesMaterialized", phase.pda_states_materialized);
     object.emplace("saturationIterations", phase.saturation_iterations);
     object.emplace("automatonTransitions", phase.automaton_transitions);
     object.emplace("worklistRelaxations", phase.worklist_relaxations);
@@ -44,7 +40,6 @@ json::Value phase_to_json(const verify::PhaseStats& phase) {
     // Wall-clock split of `seconds` by pipeline stage (dual/weighted
     // engines; zeros for moped/exact, which run their own pipelines).
     object.emplace("translateSeconds", phase.translate_seconds);
-    object.emplace("reduceSeconds", phase.reduce_seconds);
     object.emplace("saturateSeconds", phase.saturate_seconds);
     object.emplace("acceptSeconds", phase.accept_seconds);
     object.emplace("witnessSeconds", phase.witness_seconds);
@@ -93,8 +88,6 @@ json::Value result_to_json_value(const Network& network, const std::string& quer
         // Legacy flat keys (over-approximation phase), kept for consumers of
         // earlier releases; the nested phase objects carry the full picture.
         stats.emplace("pdaRules", result.stats.over.pda_rules);
-        stats.emplace("pdaRulesBeforeReduction",
-                      result.stats.over.pda_rules_before_reduction);
         stats.emplace("saturationIterations", result.stats.over.saturation_iterations);
         stats.emplace("automatonTransitions", result.stats.over.automaton_transitions);
         stats.emplace("usedUnderApproximation", result.stats.under.ran);

@@ -22,8 +22,8 @@ namespace aalwines::io {
 ///                 "header": "s20 o ip1",
 ///                 "ops": "swap(s21)"}, ... ],
 ///   "note":    "...",                   (when present)
-///   "stats":   { "pdaRules": 8, "pdaRulesBeforeReduction": 32,
-///                "saturationIterations": 14, "usedUnderApproximation": false }
+///   "stats":   { "pdaRules": 8, "saturationIterations": 14,
+///                "usedUnderApproximation": false, "over": {...} }
 /// }
 [[nodiscard]] std::string result_to_json(const Network& network,
                                          const std::string& query_text,

@@ -101,7 +101,7 @@ std::pair<TransId, bool> PAutomaton::add_transition(StateId from, EdgeLabel labe
     AALWINES_ASSERT(from < _trans_from.size() && to < _trans_from.size(),
                     "transition endpoint is not an automaton state");
     if (label.is_concrete()) {
-        note_weight(weight);
+        if (!weight.as_scalar()) _all_weights_scalar = false;
         const std::uint64_t key = pack(from, label.concrete);
         const TransId id = static_cast<TransId>(_transitions.size());
         const auto [head, inserted] = _concrete_heads.try_emplace(key, id);
@@ -150,7 +150,7 @@ std::pair<TransId, bool> PAutomaton::add_transition(StateId from, EdgeLabel labe
             existing.prov = prov;
         return {id, false};
     }
-    note_weight(weight);
+    if (!weight.as_scalar()) _all_weights_scalar = false;
     const TransId id = static_cast<TransId>(_transitions.size());
     _transitions.push_back({from, to, std::move(label), std::move(weight), prov, k_no_trans, false});
     _trans_from[from].push_back(id);
@@ -174,7 +174,7 @@ std::pair<std::uint32_t, bool> PAutomaton::add_epsilon(StateId from, StateId to,
             existing.prov = prov;
         return {existing_id, false};
     }
-    note_weight(weight);
+    if (!weight.as_scalar()) _all_weights_scalar = false;
     _epsilons.push_back({from, to, std::move(weight), prov, false});
     _eps_by_target[to].push_back(id);
     _eps_from[from].push_back(id);

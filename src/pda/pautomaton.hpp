@@ -199,21 +199,10 @@ public:
     /// True while every transition and ε weight is scalar; together with
     /// Pda::all_weights_scalar() this gates the bucketed worklist.
     [[nodiscard]] bool all_scalar_weights() const noexcept { return _all_weights_scalar; }
-    /// Largest scalar transition/ε weight seen (sizes the bucket array).
-    [[nodiscard]] std::uint64_t max_scalar_weight() const noexcept {
-        return _max_scalar_weight;
-    }
 
 private:
     [[nodiscard]] static std::uint64_t pack(StateId hi, std::uint32_t lo) noexcept {
         return (static_cast<std::uint64_t>(hi) << 32) | lo;
-    }
-    void note_weight(const Weight& weight) noexcept {
-        if (const auto scalar = weight.as_scalar()) {
-            if (*scalar > _max_scalar_weight) _max_scalar_weight = *scalar;
-        } else {
-            _all_weights_scalar = false;
-        }
     }
 
     const Pda* _pda;
@@ -230,7 +219,6 @@ private:
     std::vector<std::uint64_t> _canonical_key; ///< per state, see canonical_state
     bool _all_weights_scalar = true;
     bool _canonical_tiebreaks = false;
-    std::uint64_t _max_scalar_weight = 0;
 };
 
 } // namespace aalwines::pda

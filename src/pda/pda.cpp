@@ -84,9 +84,7 @@ RuleId Pda::add_rule(Rule rule) {
         id = static_cast<RuleId>(_rules.size());
     }
     ++_rules_added;
-    if (const auto scalar = rule.weight.as_scalar()) {
-        _max_scalar_weight = std::max(_max_scalar_weight, *scalar);
-    } else {
+    if (!rule.weight.as_scalar()) {
         AALWINES_ASSERT(_provider == nullptr || !_all_weights_scalar,
                         "lazy provider declared scalar weights but emitted a vector one");
         _all_weights_scalar = false;
@@ -277,39 +275,6 @@ void Pda::build_target_index() const {
     _target_index_ready = true;
 }
 
-void Pda::remove_rules(const std::vector<RuleId>& discard) {
-    AALWINES_ASSERT(_provider == nullptr,
-                    "cannot remove rules from a lazy PDA (reduction runs eagerly)");
-    if (discard.empty()) return;
-    std::vector<Rule> kept;
-    kept.reserve(_rules.size() - discard.size());
-    std::size_t di = 0;
-    for (RuleId id = 0; id < _rules.size(); ++id) {
-        if (di < discard.size() && discard[di] == id) {
-            ++di;
-            continue;
-        }
-        kept.push_back(std::move(_rules[id]));
-    }
-    AALWINES_ASSERT(di == discard.size(), "discard list must be sorted and unique");
-    _rules = std::move(kept);
-    _dead_rules.assign(_rules.size(), false); // eager PDAs never have tombstones
-    // Rebuild the match indexes with the new rule ids.
-    for (auto& match : _match_by_state) match = StateMatch{};
-    _concrete_lists.clear();
-    _rule_lists.clear();
-    _all_weights_scalar = true;
-    _max_scalar_weight = 0;
-    for (RuleId id = 0; id < _rules.size(); ++id) {
-        index_rule(id);
-        if (const auto scalar = _rules[id].weight.as_scalar())
-            _max_scalar_weight = std::max(_max_scalar_weight, *scalar);
-        else
-            _all_weights_scalar = false;
-    }
-    _target_index_ready = false;
-}
-
 void Pda::invalidate_states(const std::vector<StateId>& heads,
                             const std::function<bool(StateId)>& owned) {
     AALWINES_ASSERT(_provider != nullptr,
@@ -367,8 +332,7 @@ void Pda::invalidate_states(const std::vector<StateId>& heads,
     }
     // Tombstone the dead slots for reuse, then strip them from the touched
     // per-target lists — one order-preserving pass per distinct target.  The
-    // scalar flag stays the provider's declared hint and _max_scalar_weight
-    // a monotone upper bound (it only sizes worklist buckets).
+    // scalar flag stays the provider's declared hint.
     for (const auto id : dead) {
         _dead_rules[id] = true;
         _free_rule_slots.push_back(id);

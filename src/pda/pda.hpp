@@ -69,8 +69,8 @@ struct Rule {
     /// Position of this rule among the rules leaving `from` with the same
     /// precondition, assigned by add_rule (caller-supplied values are
     /// overwritten).  Each (from, precondition) sequence is emitted whole
-    /// and in a canonical order — by an eager build, by whole-state or
-    /// per-label lazy demand in any order, and again after a rebase — so
+    /// and in a canonical order — by a provider-less build, by whole-state
+    /// or per-label demand in any order, and again after a rebase — so
     /// (from, pre, ord) is a stable rule identity where the global RuleId is
     /// not (lazy materialization permutes id blocks between runs).  The
     /// solver's canonical witness tie-breaking keys on it.
@@ -151,15 +151,9 @@ public:
         }
     }
 
-    /// Capacity hints for bulk construction (the translation knows its
-    /// control-state count exactly and its rule count approximately);
-    /// purely an allocation-churn optimization.
+    /// Capacity hint for bulk construction (the translation knows its
+    /// control-state count exactly); purely an allocation-churn optimization.
     void reserve_states(std::size_t count) { _match_by_state.reserve(count); }
-    void reserve_rules(std::size_t count) {
-        _rules.reserve(count);
-        _rule_lists.reserve(count);
-        _concrete_lists.reserve(count);
-    }
 
     /// Declare that `symbol` belongs to `cls` (default: no class).
     void set_symbol_class(Symbol symbol, SymbolClass cls);
@@ -173,7 +167,7 @@ public:
     }
     /// Bound for whole-PDA id loops; slots in [0, rule_slot_count()) may be
     /// dead — check rule_dead(id) when iterating a PDA that has been through
-    /// invalidate_states (eager PDAs never have dead slots).
+    /// invalidate_states (provider-less PDAs never have dead slots).
     [[nodiscard]] std::size_t rule_slot_count() const noexcept { return _rules.size(); }
     [[nodiscard]] bool rule_dead(RuleId id) const noexcept { return _dead_rules[id]; }
     [[nodiscard]] Symbol alphabet_size() const noexcept { return _alphabet_size; }
@@ -184,7 +178,7 @@ public:
     /// Run-independent rule identity: (from state, precondition, position
     /// among the rules of that state and precondition).  Equal-weight
     /// witness tie-breaks prefer the smallest key (see pautomaton.hpp).
-    /// Within one state the order is the eager emission order: a
+    /// Within one state the order is the whole-PDA emission order: a
     /// translation emits a control state's rules label by label, ascending.
     [[nodiscard]] RuleKey rule_canonical_key(RuleId id) const {
         const Rule& r = _rules[id];
@@ -218,10 +212,6 @@ public:
     template <typename Fn>
     void for_each_applicable(StateId state, Symbol symbol, Fn&& fn) const;
 
-    /// Remove the rules whose ids appear in `discard` (sorted).  Used by the
-    /// reduction pass; rebuilds the match indexes.  Tags are preserved.
-    void remove_rules(const std::vector<RuleId>& discard);
-
     /// Un-materialize states of a lazy PDA: drop every rule leaving a state
     /// in `heads` — following chains, i.e. also dropping the rules of any
     /// state reached through a rule target for which `owned(target)` holds —
@@ -248,7 +238,7 @@ public:
     }
 
     /// Swap rules p γ → q γ' with q == `target`; built once per PDA (lazily,
-    /// invalidated by add_rule/remove_rules) instead of per pre* call.  Not
+    /// invalidated by add_rule) instead of per pre* call.  Not
     /// thread-safe on first use: saturate a shared PDA from one thread, or
     /// call `build_target_index()` up front.
     [[nodiscard]] const std::vector<RuleId>& swaps_into(StateId target) const {
@@ -265,10 +255,6 @@ public:
     /// True while every rule weight is scalar (≤ 1 component, finite); the
     /// solver switches to the bucketed worklist only then.
     [[nodiscard]] bool all_weights_scalar() const noexcept { return _all_weights_scalar; }
-    /// Largest scalar rule weight seen (0 when none/all 1̄).
-    [[nodiscard]] std::uint64_t max_scalar_weight() const noexcept {
-        return _max_scalar_weight;
-    }
 
     /// The fully concrete ("direct") encoding of this PDA: every class/any
     /// rule is instantiated per matching symbol and "same as matched" push
@@ -298,16 +284,16 @@ public:
     /// Demand every remaining state's rules (no-op without a provider).
     /// Logically const: materialization is memoized evaluation of the fixed
     /// rule set the provider denotes.  pre* and whole-PDA passes
-    /// (expand_concrete, reduction, serialization) need this eager fallback.
+    /// (expand_concrete, structural validation) need every rule.
     void materialize_all() const;
 
     /// States with demanded outgoing rules (is_demanded; == state_count()
-    /// when eager).
+    /// without a provider).
     [[nodiscard]] std::size_t materialized_state_count() const noexcept {
         return _provider != nullptr ? _demanded_count : state_count();
     }
     /// Distinct (state, label) pairs demanded from label-granular states
-    /// (0 when eager).
+    /// (0 without a provider).
     [[nodiscard]] std::size_t demanded_label_count() const noexcept {
         return _demanded_labels;
     }
@@ -368,7 +354,6 @@ private:
     std::vector<std::vector<RuleId>> _rule_lists;
     std::vector<SymbolClass> _symbol_classes;
     bool _all_weights_scalar = true;
-    std::uint64_t _max_scalar_weight = 0;
     mutable std::array<std::optional<nfa::SymbolSet>, 256> _class_sets;
     mutable bool _target_index_ready = false;
     mutable std::vector<std::vector<RuleId>> _swaps_into;

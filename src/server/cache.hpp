@@ -1,8 +1,8 @@
 #pragma once
 // Compiled-query LRU cache: memoizes VerifyResults keyed by everything that
-// determines them — network workspace, query text, engine, weight
-// expression, reduction level, witness count, iteration cap, translation
-// mode (lazy answers match eager ones, but their stats differ).  Repeat
+// determines them — network workspace (load sequence and delta generation),
+// query text, engine, weight expression, witness count, iteration cap and
+// whether a trace is built.  Repeat
 // queries (the dominant interactive pattern: re-checking the same
 // invariants after each what-if edit) skip parse, translation and
 // saturation entirely.  Hit/miss totals land in the telemetry registry
@@ -26,9 +26,8 @@ namespace aalwines::server {
 [[nodiscard]] std::string cache_key(std::uint64_t sequence, std::uint64_t generation,
                                     const std::string& query_text,
                                     const std::string& engine, const std::string& weight,
-                                    int reduction, std::size_t witnesses,
-                                    std::size_t max_iterations, bool trace,
-                                    const std::string& translation);
+                                    std::size_t witnesses, std::size_t max_iterations,
+                                    bool trace);
 
 /// The key prefix shared by every entry of the workspace with this load
 /// sequence — the argument for ResultCache::invalidate after a PATCH.

@@ -326,13 +326,9 @@ http::Response Service::handle_query(const http::Request& request,
     spec.engine = string_field(object, "engine");
     if (spec.engine.empty()) spec.engine = "dual";
     spec.weight = string_field(object, "weight");
-    spec.reduction =
-        static_cast<int>(size_field(object, "reduction", static_cast<std::size_t>(2)));
     spec.trace = bool_field(object, "trace", true);
     spec.witnesses = size_field(object, "witnesses", 1);
     spec.max_iterations = size_field(object, "maxIterations", 0);
-    spec.translation = string_field(object, "translation");
-    if (spec.translation.empty()) spec.translation = "auto";
     const bool stats = bool_field(object, "stats", false);
     auto jobs = size_field(object, "jobs", 1);
     const auto max_jobs = _config.max_jobs != 0
@@ -356,8 +352,8 @@ http::Response Service::handle_query(const http::Request& request,
     std::vector<std::size_t> missing_index;
     for (std::size_t i = 0; i < texts.size(); ++i) {
         slots[i].key = cache_key(workspace.sequence, workspace.generation, texts[i],
-                                 spec.engine, spec.weight, spec.reduction, spec.witnesses,
-                                 spec.max_iterations, spec.trace, spec.translation);
+                                 spec.engine, spec.weight, spec.witnesses,
+                                 spec.max_iterations, spec.trace);
         slots[i].result = _cache.find(slots[i].key);
         slots[i].cached = slots[i].result != nullptr;
         if (!slots[i].cached) {
@@ -424,7 +420,7 @@ http::Response Service::handle_query(const http::Request& request,
             if (slot.cached || slot.result == nullptr) continue;
             for (const auto* phase : {&slot.result->stats.over, &slot.result->stats.under}) {
                 if (!phase->ran) continue;
-                compile += phase->translate_seconds + phase->reduce_seconds;
+                compile += phase->translate_seconds;
                 solve += phase->saturate_seconds;
                 witness += phase->accept_seconds + phase->witness_seconds;
             }
@@ -510,13 +506,9 @@ http::Response Service::handle_sweep(const http::Request& request,
     spec.engine = string_field(object, "engine");
     if (spec.engine.empty()) spec.engine = "dual";
     spec.weight = string_field(object, "weight");
-    spec.reduction =
-        static_cast<int>(size_field(object, "reduction", static_cast<std::size_t>(2)));
     spec.trace = bool_field(object, "trace", true);
     spec.witnesses = size_field(object, "witnesses", 1);
     spec.max_iterations = size_field(object, "maxIterations", 0);
-    spec.translation = string_field(object, "translation");
-    if (spec.translation.empty()) spec.translation = "auto";
     const bool stats = bool_field(object, "stats", false);
     auto jobs = size_field(object, "jobs", 0); // 0 = one worker per chain, capped
     const auto max_jobs = _config.max_jobs != 0

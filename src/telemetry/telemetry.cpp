@@ -16,12 +16,10 @@ std::string_view name_of(Counter counter) {
         case Counter::nfa_states_built: return "nfa_states_built";
         case Counter::nfa_edges_built: return "nfa_edges_built";
         case Counter::pda_states_interned: return "pda_states_interned";
-        case Counter::pda_rules_emitted: return "pda_rules_emitted";
         case Counter::pda_rules_total: return "pda_rules_total";
         case Counter::pda_rules_materialized: return "pda_rules_materialized";
         case Counter::pda_states_materialized: return "pda_states_materialized";
         case Counter::pda_labels_materialized: return "pda_labels_materialized";
-        case Counter::reduction_rules_pruned: return "reduction_rules_pruned";
         case Counter::post_star_pops: return "post_star_pops";
         case Counter::pre_star_pops: return "pre_star_pops";
         case Counter::edge_relaxations: return "edge_relaxations";
@@ -100,7 +98,7 @@ const HistogramInfo& info_of(Histogram histogram) {
         {"aalwines_cache_lookup_seconds", "",
          k_ns, "Compiled-query result cache probe latency."},
         {"aalwines_materialized_rule_ratio", "",
-         k_pct, "Fraction of eager-translation rules materialized by lazy saturation."},
+         k_pct, "Fraction of the translation PDA's rules materialized on demand."},
         {"aalwines_patch_apply_seconds", "",
          k_ns, "PATCH delta application latency (network copy + overlay + rebase)."},
     }};

@@ -42,12 +42,10 @@ enum class Counter : std::uint32_t {
     nfa_states_built,       ///< NFA states constructed (Thompson + product)
     nfa_edges_built,        ///< NFA edges constructed
     pda_states_interned,    ///< PDA control + chain states (translation)
-    pda_rules_emitted,      ///< PDA rules emitted by the translation
-    pda_rules_total,        ///< rules an eager translation would emit (pre-reduction)
-    pda_rules_materialized, ///< rules demand-materialized during lazy saturation
-    pda_states_materialized,///< states whose outgoing rules were demanded (lazy)
-    pda_labels_materialized,///< distinct (state, top label) demands (lazy, per-label)
-    reduction_rules_pruned, ///< rules removed by the top-of-stack reduction
+    pda_rules_total,        ///< rules of the whole translation PDA
+    pda_rules_materialized, ///< rules materialized on demand
+    pda_states_materialized,///< states whose outgoing rules were demanded
+    pda_labels_materialized,///< distinct (state, top label) demands
     post_star_pops,         ///< post* worklist items finalized
     pre_star_pops,          ///< pre* worklist items finalized
     edge_relaxations,       ///< transition inserts/weight decreases enqueued
@@ -92,11 +90,11 @@ enum class Histogram : std::uint32_t {
     query_duration_weighted, ///< ... weighted engine (ns)
     query_duration_moped,    ///< ... moped baseline (ns)
     query_duration_exact,    ///< ... exact engine (ns)
-    query_translate,         ///< per phase: translation + reduction + initial automaton (ns)
+    query_translate,         ///< per phase: translation setup (ns)
     query_saturate,          ///< per phase: post* saturation (incl. lazy materialization) (ns)
     query_witness,           ///< per phase: acceptance search + witness unroll (ns)
     cache_lookup,            ///< compiled-query cache probe (ns)
-    materialized_rule_pct,   ///< lazy translation: % of eager rules materialized (0-100)
+    materialized_rule_pct,   ///< % of the translation PDA's rules materialized (0-100)
     patch_apply,             ///< PATCH delta application (copy + overlay + rebase) (ns)
     count_,
 };

@@ -38,24 +38,6 @@ std::string_view to_string(EngineKind engine) {
     return "?";
 }
 
-std::string_view to_string(TranslationMode mode) {
-    switch (mode) {
-        case TranslationMode::Auto: return "auto";
-        case TranslationMode::Lazy: return "lazy";
-        case TranslationMode::Eager: return "eager";
-    }
-    return "?";
-}
-
-bool use_lazy_translation(TranslationMode mode, EngineKind engine) {
-    switch (mode) {
-        case TranslationMode::Lazy: return true;
-        case TranslationMode::Eager: return false;
-        case TranslationMode::Auto: break;
-    }
-    return engine == EngineKind::Dual || engine == EngineKind::Weighted;
-}
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -87,16 +69,11 @@ PhaseOutcome run_post_star_phase(const Network& network, const query::Query& que
 
     // Memoized across the over/under dual passes: the cache shares the
     // compiled query NFAs, and the whole translation when the failure budget
-    // makes the two approximations coincide.  reduce() is idempotent.
+    // makes the two approximations coincide.
     Translation& translation = cache.translation(approximation);
-    outcome.stats.pda_rules_before_reduction = translation.rules_before_reduction();
-    const auto translated = Clock::now();
     outcome.stats.translate_seconds = seconds_since(start);
-    translation.reduce(options.reduction_level);
-    outcome.stats.reduce_seconds = seconds_since(translated);
     telemetry::observe_duration(telemetry::Histogram::query_translate,
-                                outcome.stats.translate_seconds +
-                                    outcome.stats.reduce_seconds);
+                                outcome.stats.translate_seconds);
 
     const auto saturate_start = Clock::now();
     auto automaton = translation.make_initial_automaton();
@@ -127,17 +104,16 @@ PhaseOutcome run_post_star_phase(const Network& network, const query::Query& que
     telemetry::observe_duration(telemetry::Histogram::query_saturate,
                                 outcome.stats.saturate_seconds);
 
-    // Snapshot the PDA size after saturation: a lazy translation grows its
+    // Snapshot the PDA size after saturation: the translation grows its
     // rule set on demand, so the materialized counts are only meaningful
     // once the worklist has drained (or early-terminated).
     outcome.stats.pda_rules = translation.pda().rule_count();
     outcome.stats.pda_states = translation.pda().state_count();
-    outcome.stats.lazy_translation = translation.lazy();
     outcome.stats.pda_rules_total = translation.total_rules();
     outcome.stats.pda_rules_materialized = translation.pda().rule_count();
     outcome.stats.pda_states_materialized = translation.pda().materialized_state_count();
     outcome.stats.pda_labels_materialized = translation.pda().demanded_label_count();
-    if (translation.lazy() && outcome.stats.pda_rules_total > 0)
+    if (outcome.stats.pda_rules_total > 0)
         telemetry::observe(telemetry::Histogram::materialized_rule_pct,
                            100 * outcome.stats.pda_rules_materialized /
                                outcome.stats.pda_rules_total);
@@ -245,8 +221,7 @@ VerifyResult verify_impl(const Network& network, const query::Query& query,
     std::optional<TranslationCache> local;
     if (external == nullptr)
         local.emplace(network, query,
-                      options.engine == EngineKind::Weighted ? options.weights : nullptr,
-                      use_lazy_translation(options.translation, options.engine));
+                      options.engine == EngineKind::Weighted ? options.weights : nullptr);
     else
         AALWINES_ASSERT(&external->network() == &network,
                         "external translation cache not rebased to this network");

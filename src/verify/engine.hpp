@@ -9,7 +9,7 @@
 //   Weighted — same pipeline on a weighted PDA; the witness returned is
 //              minimal w.r.t. the lexicographic weight vector (Problem 2).
 //   Moped    — baseline modelling the external Moped model checker used by
-//              P-Rex: the (reduced) PDA is serialised to a Moped-style text
+//              P-Rex: the whole PDA is serialised to a Moped-style text
 //              format, parsed back, and solved by classical pre* saturation
 //              with full saturation before the membership check.  Logical
 //              properties only (requesting weights is an error).
@@ -38,40 +38,26 @@ enum class EngineKind : std::uint8_t { Moped, Dual, Weighted, Exact };
 
 [[nodiscard]] std::string_view to_string(EngineKind engine);
 
-/// Network→PDA rule materialization strategy (TranslationOptions::lazy).
-enum class TranslationMode : std::uint8_t { Auto, Lazy, Eager };
-
-[[nodiscard]] std::string_view to_string(TranslationMode mode);
-
-/// Resolve Auto per engine: demand-driven for the native post* engines
-/// (Dual, Weighted), where saturation demands only the reachable control
-/// states; eager for engines that consume the whole rule set up front
-/// (Moped's serialization round-trip, Exact's per-scenario enumeration and
-/// pre* seeding).  Explicit Lazy/Eager is honored for every engine.
-[[nodiscard]] bool use_lazy_translation(TranslationMode mode, EngineKind engine);
+/// The type of VerifyOptions::translation, which nothing reads: every engine
+/// demands its rules (see Translation).
+enum class TranslationMode : std::uint8_t { Auto };
 
 struct VerifyOptions {
     EngineKind engine = EngineKind::Dual;
-    /// PDA reduction level: 0 = off, 1 = top-of-stack, 2 = + second symbol.
+    /// Nothing reads this; kept because perfbench/ assigns it.
     int reduction_level = 2;
     /// Minimisation objective for EngineKind::Weighted.
     const WeightExpr* weights = nullptr;
     /// Per-saturation iteration cap (0 = unlimited); exceeding it makes the
     /// phase inconclusive — the benchmark harness's timeout stand-in.
     std::size_t max_iterations = 0;
-    /// By default the Moped baseline models P-Rex's pipeline, which predates
-    /// the top-of-stack reduction: the PDA is expanded and solved unreduced.
-    /// Set true to feed Moped the reduced PDA instead (the architecture of
-    /// the paper's Figure 3); bench_reduction quantifies the difference.
-    bool moped_reduction = false;
     /// Reconstruct a witness trace on YES answers.
     bool build_trace = true;
     /// Collect up to this many distinct feasible witness traces (ordered by
     /// weight for the weighted engine).  Values > 1 disable demand-driven
     /// early termination so the saturated automaton covers alternatives.
     std::size_t max_witnesses = 1;
-    /// When (and whether) network→PDA rules materialize — see
-    /// use_lazy_translation for the Auto resolution.
+    /// Nothing reads this; kept because perfbench/ assigns it.
     TranslationMode translation = TranslationMode::Auto;
     /// Ignored (saturation is sequential); kept because perfbench/ still
     /// assigns it.
@@ -84,12 +70,11 @@ struct VerifyOptions {
 
 /// Timing and size figures for one saturation phase.  Every engine reports
 /// the same semantics so `--stats` output is comparable across engines:
-/// `pda_rules`/`pda_states` describe the symbolic translation PDA after any
-/// reduction (the solver's direct input for dual/weighted); engines that
+/// `pda_rules`/`pda_states` describe the symbolic translation PDA (the
+/// solver's direct input for dual/weighted); engines that
 /// additionally expand the PDA (Moped's concrete label encoding) report that
 /// backend's size in the `_expanded` fields, which stay 0 elsewhere.
 struct PhaseStats {
-    std::size_t pda_rules_before_reduction = 0;
     std::size_t pda_rules = 0;
     std::size_t pda_states = 0;
     std::size_t pda_rules_expanded = 0;  ///< Moped concrete backend only
@@ -99,24 +84,21 @@ struct PhaseStats {
     std::size_t worklist_relaxations = 0;  ///< inserts + weight decreases
     std::size_t peak_worklist = 0;         ///< worklist length high-water mark
     /// Demand-driven materialization figures, snapshotted when the phase
-    /// ends.  `pda_rules_total` is the eager-equivalent rule count (before
-    /// reduction); with a lazy translation `pda_rules_materialized` /
-    /// `pda_states_materialized` are the subset saturation actually
-    /// demanded, and equal the full counts when eager.
-    /// `pda_labels_materialized` counts the distinct (control state, top
-    /// label) pairs a lazy pass demanded (0 when eager).
+    /// ends.  `pda_rules_total` is the whole PDA's rule count;
+    /// `pda_rules_materialized` / `pda_states_materialized` are the subset
+    /// the phase actually demanded (everything for engines that read the
+    /// whole PDA).  `pda_labels_materialized` counts the distinct (control
+    /// state, top label) pairs demanded.
     std::size_t pda_rules_total = 0;
     std::size_t pda_rules_materialized = 0;
     std::size_t pda_states_materialized = 0;
     std::size_t pda_labels_materialized = 0;
-    bool lazy_translation = false;
     double seconds = 0.0;
     /// Wall-clock split of `seconds` by pipeline stage (dual/weighted
-    /// engines; 0 elsewhere).  With a lazy translation, rule
-    /// materialization happens on demand inside the saturation stage, so
-    /// `translate_seconds` covers only the symbolic setup.
+    /// engines; 0 elsewhere).  Rule materialization happens on demand
+    /// inside the saturation stage, so `translate_seconds` covers only the
+    /// symbolic setup.
     double translate_seconds = 0.0; ///< network->PDA translation setup
-    double reduce_seconds = 0.0;    ///< top-of-stack reduction
     double saturate_seconds = 0.0;  ///< initial automaton + post* saturation
     double accept_seconds = 0.0;    ///< acceptance search (find_accepted)
     double witness_seconds = 0.0;   ///< witness unroll + alternatives

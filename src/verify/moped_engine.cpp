@@ -19,13 +19,13 @@ struct MopedPhaseOutcome {
     PhaseStats stats;
 };
 
-/// One pre*-based phase modelling the Moped pipeline P-Rex used: the PDA in
-/// the *direct* encoding — no top-of-stack reduction, every symbolic class
-/// rule expanded over the concrete label alphabet, concrete automaton edges
-/// — is serialised to the Moped text format, parsed back, and solved by
-/// classical full pre* saturation before the membership check.  This is
-/// exactly the configuration the paper's novel translation (symbolic rules
-/// + reductions + demand-driven post*) is measured against.
+/// One pre*-based phase modelling the Moped pipeline P-Rex used: the whole
+/// PDA in the *direct* encoding — every symbolic class rule expanded over
+/// the concrete label alphabet, concrete automaton edges — is serialised
+/// to the Moped text format, parsed back, and solved by classical full
+/// pre* saturation before the membership check.  This is exactly the
+/// configuration the paper's novel translation (symbolic rules +
+/// demand-driven post*) is measured against.
 MopedPhaseOutcome run_pre_star_phase(const Network& network, const query::Query& query,
                                      Approximation approximation,
                                      const VerifyOptions& options, TranslationCache& cache,
@@ -37,13 +37,10 @@ MopedPhaseOutcome run_pre_star_phase(const Network& network, const query::Query&
     outcome.stats.ran = true;
 
     Translation& translation = cache.translation(approximation);
-    outcome.stats.pda_rules_before_reduction = translation.rules_before_reduction();
-    if (options.moped_reduction) translation.reduce(options.reduction_level);
 
     // The external-tool round trip, in the direct (fully concrete) encoding.
-    // A lazy translation is fully materialized by expand_concrete — the
-    // serialization needs every rule, so demand-driven construction buys
-    // nothing here (hence TranslationMode::Auto resolves to eager).
+    // expand_concrete materializes every rule first: the serialization
+    // needs the whole PDA.
     pda::Pda backend(0);
     {
         AALWINES_SPAN("moped_roundtrip");
@@ -53,12 +50,11 @@ MopedPhaseOutcome run_pre_star_phase(const Network& network, const query::Query&
     }
     outcome.stats.pda_rules_expanded = backend.rule_count();
     outcome.stats.pda_states_expanded = backend.state_count();
-    // Same semantics as the dual engine: the (optionally reduced) symbolic
-    // translation PDA.  The concrete backend's size goes in `_expanded`.
-    // Read after the round trip so a lazy translation is fully counted.
+    // Same semantics as the dual engine: the symbolic translation PDA.  The
+    // concrete backend's size goes in `_expanded`.  Read after the round
+    // trip so every rule is counted.
     outcome.stats.pda_rules = translation.pda().rule_count();
     outcome.stats.pda_states = translation.pda().state_count();
-    outcome.stats.lazy_translation = translation.lazy();
     outcome.stats.pda_rules_total = translation.total_rules();
     outcome.stats.pda_rules_materialized = translation.pda().rule_count();
     outcome.stats.pda_states_materialized = translation.pda().materialized_state_count();
@@ -103,8 +99,7 @@ VerifyResult moped_verify(const Network& network, const query::Query& query,
     const auto start = Clock::now();
     VerifyResult result;
 
-    TranslationCache cache(network, query, /*weights=*/nullptr,
-                           use_lazy_translation(options.translation, EngineKind::Moped));
+    TranslationCache cache(network, query, /*weights=*/nullptr);
     pda::SolverWorkspace workspace;
 
     auto over = run_pre_star_phase(network, query, Approximation::Over, options, cache,

@@ -168,12 +168,10 @@ SweepResult run_sweep(const Network& network, const SweepSpec& spec,
     for (auto& flag : nfa_once) flag = std::make_unique<std::once_flag>();
     std::vector<std::shared_ptr<const CompiledNfas>> pair_nfas(pairs.size());
 
+    // Only the native post* engines take a translation cache, and with it
+    // the frontier tier — the same gate as delta::Reverifier's warm path.
     const bool native = options.engine == EngineKind::Dual ||
                         options.engine == EngineKind::Weighted;
-    const bool lazy = use_lazy_translation(options.translation, options.engine);
-    // Frontier tier needs rebase, which only the lazy native engines
-    // support — the same gate as delta::Reverifier's warm path.
-    const bool warm_capable = native && lazy;
 
     if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
     jobs = std::min(jobs, n_chains);
@@ -249,12 +247,12 @@ SweepResult run_sweep(const Network& network, const SweepSpec& spec,
                         cell.path = CellPath::Reused;
                     } else if (cache == nullptr) {
                         cache = std::make_unique<TranslationCache>(
-                            *scenario.network, query, cell_options.weights, lazy, nfas);
+                            *scenario.network, query, cell_options.weights, nfas);
                         cell.result =
                             verify(*scenario.network, query, cell_options, *cache);
                         cell.path = CellPath::Cold;
                         based_on = s;
-                        if (warm_capable && anchor_result == nullptr) {
+                        if (anchor_result == nullptr) {
                             // Freeze the anchor's footprint now, while the
                             // session still holds exactly what this cell's
                             // saturations materialized (it stays valid
@@ -290,12 +288,6 @@ SweepResult run_sweep(const Network& network, const SweepSpec& spec,
                     cache.reset();
                 }
                 cell.seconds = seconds_since(cell_start);
-                if (!warm_capable) {
-                    // Eager native engines keep the NFA and workspace tiers
-                    // but cannot rebase: every cell verifies cold through a
-                    // fresh session.
-                    cache.reset();
-                }
             }
         }
     };

@@ -13,7 +13,7 @@
 //                  pair (`SweepStats::nfa_compiles` counts pairs, not
 //                  cells).
 //   Frontier tier  Cells of one (pair, k) chain differ only in which links
-//                  are down.  The chain keeps one lazy TranslationCache and
+//                  are down.  The chain keeps one TranslationCache and
 //                  walks the scenario axis by diffing failed-link sets:
 //                  when the diff misses the materialized translation
 //                  footprint and every initial-configuration candidate, the
@@ -32,7 +32,7 @@
 // Chains — one per (pair, k) — distribute over a `jobs`-sized worker pool;
 // within a chain, scenarios run in spec order so each cell can reuse its
 // predecessor.  The frontier tier needs a warm-capable engine (dual or
-// weighted with lazy translation, exactly like delta::Reverifier); other
+// weighted, exactly like delta::Reverifier); other
 // engines still get the NFA and workspace tiers, with every cell cold.
 
 #include <cstdint>

@@ -95,15 +95,13 @@ Translation::Translation(const Network& network, const query::Query& query,
     _index = TranslationIndex::of(network);
     build_control_states();
     build_move_index();
-    if (_options.lazy) {
-        _lazy = true;
-        AALWINES_SPAN("size_lazy_pool");
+    {
+        AALWINES_SPAN("size_interior_pool");
         // Pre-allocate the chain-interior pool: materialization must never
         // add PDA states (the P-automaton's helper states share the id
-        // space), so every interior an eager build would create exists up
-        // front.  The index's shapes are exact, which the equivalence tests
-        // pin down by asserting the pool is fully consumed after
-        // materialize_all().
+        // space), so every interior the whole PDA has exists up front.  The
+        // index's shapes are exact, which the equivalence tests pin down by
+        // asserting the pool is fully consumed after materialize_all().
         std::size_t interiors = 0;
         for (LinkId l = 0; l < _index->link_count(); ++l) {
             const auto load = link_load(*_index, l);
@@ -111,18 +109,12 @@ Translation::Translation(const Network& network, const query::Query& query,
             interiors += load.interiors;
         }
         grow_pool(interiors);
-        // The bucketed-worklist decision is made before any rule exists, so
-        // declare up front whether every step weight will be scalar: the
-        // weight vector's arity is fixed by the expression (≤ 1 component ⇒
-        // scalar, matching what the eager translation would report).
-        const bool scalar_weights =
-            _options.weights == nullptr || _options.weights->size() <= 1;
-        _pda->set_rule_provider(this, scalar_weights);
-    } else {
-        build_rules();
-        _total_rules = _pda->rule_count();
-        telemetry::count(telemetry::Counter::pda_rules_emitted, _pda->rule_count());
     }
+    // The bucketed-worklist decision is made before any rule exists, so
+    // declare up front whether every step weight will be scalar: the weight
+    // vector's arity is fixed by the expression (≤ 1 component ⇒ scalar).
+    const bool scalar_weights = _options.weights == nullptr || _options.weights->size() <= 1;
+    _pda->set_rule_provider(this, scalar_weights);
     telemetry::count(telemetry::Counter::pda_states_interned, _pda->state_count());
     telemetry::count(telemetry::Counter::pda_rules_total, _total_rules);
 }
@@ -221,7 +213,7 @@ void Translation::build_move_index() {
 namespace {
 /// Counting sink for walk_chain: tallies the rules and interior states a
 /// chain would create without touching the PDA.  Must mirror EmitSink's
-/// control flow exactly — the lazy interior pool is sized from these counts.
+/// control flow exactly — the interior pool is sized from these counts.
 struct CountSink {
     std::size_t rules = 0;
     std::size_t interiors = 0;
@@ -237,7 +229,7 @@ struct CountSink {
 /// Walk one op chain, driving `sink.step(index, last)` before each op and
 /// `sink.rule(pre, op, l1, l2)` per emitted rule — the single source of
 /// truth for chain shape, shared by emission (Translation::EmitSink) and the
-/// index's counting (CountSink), so lazy totals match eager emission
+/// index's counting (CountSink), so the index's totals match emission
 /// rule-for-rule.
 template <typename Sink>
 void walk_chain(const LabelTable& labels, Label top, const std::vector<Op>& ops, Sink& sink) {
@@ -374,9 +366,9 @@ void for_up_rules(const Topology& topology, LinkId in_link, const RoutingEntry& 
 }
 } // namespace
 
-/// Emitting sink for walk_chain: allocates interior states (from the lazy
-/// pool or by growing the PDA) and adds the rules.  The step weight and
-/// trace tag ride on the first rule of the chain only.
+/// Emitting sink for walk_chain: draws interior states from the pool and
+/// adds the rules.  The step weight and trace tag ride on the first rule of
+/// the chain only.
 struct Translation::EmitSink {
     Translation& t;
     pda::StateId from;
@@ -389,7 +381,7 @@ struct Translation::EmitSink {
     void step(std::size_t i, bool last) {
         index = i;
         if (i > 0) from = to;
-        to = last ? target : t.new_chain_state();
+        to = last ? target : t.next_pool_state();
     }
     void rule(pda::PreSpec pre, pda::Rule::OpKind op, pda::Symbol l1, pda::Symbol l2) {
         t._pda->add_rule({from, to, pre, op, l1, l2,
@@ -398,41 +390,17 @@ struct Translation::EmitSink {
     }
 };
 
-pda::StateId Translation::new_chain_state() {
-    if (_lazy) {
-        // Saturation has already handed out P-automaton helper ids above
-        // state_count(), so interiors must come from the pre-allocated pool
-        // ranges (one per construction/rebase), consumed in order.
-        while (_pool_cursor < _pools.size() &&
-               _pools[_pool_cursor].first == _pools[_pool_cursor].second)
-            ++_pool_cursor;
-        AALWINES_ASSERT(_pool_cursor < _pools.size(), "chain-interior pool exhausted");
-        const auto state = _pools[_pool_cursor].first++;
-        _pda->mark_materialized(state); // interiors have no rules of their own
-        return state;
-    }
-    const auto state = _pda->add_state();
-    _control_info.push_back({k_invalid_id, 0, 0, true});
+pda::StateId Translation::next_pool_state() {
+    // Saturation has already handed out P-automaton helper ids above
+    // state_count(), so interiors come from the pre-allocated pool ranges
+    // (one per construction/rebase), consumed in order.
+    while (_pool_cursor < _pools.size() &&
+           _pools[_pool_cursor].first == _pools[_pool_cursor].second)
+        ++_pool_cursor;
+    AALWINES_ASSERT(_pool_cursor < _pools.size(), "chain-interior pool exhausted");
+    const auto state = _pools[_pool_cursor].first++;
+    _pda->mark_materialized(state); // interiors have no rules of their own
     return state;
-}
-
-void Translation::build_rules() {
-    // Upper-bound the rule count (ignores failure-budget pruning and dead
-    // chains) so the rule vector and its match indexes allocate once.
-    std::size_t estimated_rules = 0;
-    for (LinkId l = 0; l < _index->link_count(); ++l)
-        for (const auto* groups : _index->row(l).entries)
-            for (const auto& group : *groups)
-                for (const auto& rule : group)
-                    estimated_rules += _moves_by_link[rule.out_link].size() *
-                                       std::max<std::size_t>(rule.ops.size(), 1);
-    _pda->reserve_rules(estimated_rules * _failure_slots);
-
-    for (LinkId l = 0; l < _index->link_count(); ++l) {
-        const auto& row = _index->row(l);
-        for (std::size_t i = 0; i < row.labels.size(); ++i)
-            add_entry_rules(l, row.labels[i], *row.entries[i]);
-    }
 }
 
 Translation::LinkLoad Translation::link_load(const TranslationIndex& index,
@@ -524,30 +492,24 @@ void Translation::for_entry_rules(LinkId in_link, const RoutingEntry& groups,
 }
 
 void Translation::add_entry_rules(LinkId in_link, Label label, const RoutingEntry& groups,
-                                  std::uint32_t only_q, std::uint32_t only_f) {
+                                  std::uint32_t q, std::uint32_t f) {
     const auto k = _query->max_failures;
+    const auto from = control_state(in_link, q, f);
     for_entry_rules(in_link, groups,
                     [&](const ForwardingRule& rule, std::uint64_t local_failures) {
-        // A rule fires for every path-NFA move that consumes its out-link,
-        // from every (in_link, q [, f]) control state — or just the
-        // (only_q, only_f) slice when one state is materialized on demand.
-        for (const auto& [q, q_next] : _moves_by_link[rule.out_link]) {
-            if (only_q != k_any && q != only_q) continue;
-            for (std::uint32_t f = 0; f < _failure_slots; ++f) {
-                if (only_f != k_any && f != only_f) continue;
-                std::uint32_t f_next = f;
-                if (_options.approximation == Approximation::Under) {
-                    if (f + local_failures > k) continue;
-                    f_next = f + static_cast<std::uint32_t>(local_failures);
-                }
-                const auto from = control_state(in_link, q, f);
-                const auto to = control_state(rule.out_link, q_next, f_next);
-                const auto tag = static_cast<std::uint32_t>(_steps.size());
-                _steps.push_back(
-                    {rule.out_link, static_cast<std::uint32_t>(local_failures)});
-                add_chain(from, label, rule, to,
-                          make_step_weight(rule, local_failures), tag);
-            }
+        std::uint32_t f_next = f;
+        if (_options.approximation == Approximation::Under) {
+            if (f + local_failures > k) return;
+            f_next = f + static_cast<std::uint32_t>(local_failures);
+        }
+        // A rule fires for every path-NFA move from q that consumes its
+        // out-link.
+        for (const auto& [q_from, q_next] : _moves_by_link[rule.out_link]) {
+            if (q_from != q) continue;
+            const auto to = control_state(rule.out_link, q_next, f_next);
+            const auto tag = static_cast<std::uint32_t>(_steps.size());
+            _steps.push_back({rule.out_link, static_cast<std::uint32_t>(local_failures)});
+            add_chain(from, label, rule, to, make_step_weight(rule, local_failures), tag);
         }
     });
 }
@@ -604,7 +566,6 @@ std::vector<char> Translation::affected_links(
 
 bool Translation::footprint_touches(const std::vector<bool>& dirty,
                                     const std::vector<bool>& behavior_dirty) const {
-    AALWINES_ASSERT(_lazy, "footprint queries need a demand-driven translation");
     const auto affected = affected_links(dirty, behavior_dirty);
     const auto n_control = _failure_slots * _nfa_b.size() * _network->topology.link_count();
     for (pda::StateId s = 0; s < n_control; ++s)
@@ -613,7 +574,6 @@ bool Translation::footprint_touches(const std::vector<bool>& dirty,
 }
 
 void Translation::add_to_footprint(LinkFootprint& fp) const {
-    AALWINES_ASSERT(_lazy, "footprint snapshots need a demand-driven translation");
     const auto n_links = _network->topology.link_count();
     if (fp.materialized.size() < n_links) fp.materialized.resize(n_links, false);
     if (fp.out_links.size() < n_links) fp.out_links.resize(n_links, false);
@@ -636,7 +596,6 @@ void Translation::add_to_footprint(LinkFootprint& fp) const {
 void Translation::rebase(const Network& network, const std::vector<bool>& dirty,
                          const std::vector<bool>& behavior_dirty) {
     AALWINES_SPAN("rebase");
-    AALWINES_ASSERT(_lazy, "rebase needs a demand-driven translation");
     AALWINES_ASSERT(network.topology.link_count() == _network->topology.link_count(),
                     "rebase cannot change the link set");
     AALWINES_ASSERT(network.labels.size() == _network->labels.size(),
@@ -662,7 +621,7 @@ void Translation::rebase(const Network& network, const std::vector<bool>& dirty,
         heads, [this](pda::StateId s) { return _control_info[s].chain; });
 
     // Re-sum the affected links against the new index; adjust the
-    // eager-equivalent total and grow the interior pool by their full new
+    // whole-PDA total and grow the interior pool by their full new
     // contribution (see the telescoping argument at _pools).
     std::size_t new_interiors = 0;
     for (LinkId l = 0; l < affected.size(); ++l) {
@@ -675,7 +634,6 @@ void Translation::rebase(const Network& network, const std::vector<bool>& dirty,
     grow_pool(new_interiors);
 
     compute_initial_states();
-    _reduced = false; // refresh the (lazy no-op) reduction stats next verify
 }
 
 void Translation::attach_header_nfa(pda::PAutomaton& aut, const nfa::Nfa& header_nfa,
@@ -732,40 +690,6 @@ pda::PAutomaton Translation::make_final_automaton(const pda::Pda& backend,
     attach_header_nfa(aut, _nfa_c, _accepting_states, /*weighted_entry=*/false,
                       concrete_edges);
     return aut;
-}
-
-pda::ReductionStats Translation::reduce(int level) {
-    if (_reduced) return _reduce_stats; // shared translations reduce once
-    if (_lazy) {
-        // Demand-driven construction subsumes the reduction pass: the match
-        // index filters rule application on the exact reachable tops per
-        // state, so the rules the abstract pass would prune can never fire.
-        // Running it would force full materialization, defeating laziness.
-        _reduce_stats.rules_before = _total_rules;
-        _reduce_stats.rules_after = _total_rules;
-        _reduced = true;
-        return _reduce_stats;
-    }
-    AALWINES_SPAN("reduce");
-    // Seed the analysis with the stack languages of the initial configs.
-    SymbolSet top_set, second_set, deep_set;
-    for (const auto q0 : _nfa_a.initial()) {
-        for (const auto& edge : _nfa_a.states()[q0].edges) {
-            top_set = SymbolSet::set_union(top_set, edge.symbols);
-            for (const auto& second_edge : _nfa_a.states()[edge.target].edges)
-                second_set = SymbolSet::set_union(second_set, second_edge.symbols);
-        }
-    }
-    for (const auto& state : _nfa_a.states())
-        for (const auto& edge : state.edges)
-            deep_set = SymbolSet::set_union(deep_set, edge.symbols);
-
-    std::vector<pda::TosSeed> seeds;
-    seeds.reserve(_initial_states.size());
-    for (const auto state : _initial_states) seeds.push_back({state, top_set, second_set});
-    _reduce_stats = pda::reduce(*_pda, seeds, deep_set, level);
-    _reduced = true;
-    return _reduce_stats;
 }
 
 namespace {
@@ -880,14 +804,14 @@ bool TranslationIndex::operator==(const TranslationIndex& other) const {
 }
 
 TranslationCache::TranslationCache(const Network& network, const query::Query& query,
-                                   const WeightExpr* weights, bool lazy)
-    : _network(&network), _query(&query), _weights(weights), _lazy(lazy),
+                                   const WeightExpr* weights)
+    : _network(&network), _query(&query), _weights(weights),
       _nfas(compile_query_nfas(network, query)) {}
 
 TranslationCache::TranslationCache(const Network& network, const query::Query& query,
-                                   const WeightExpr* weights, bool lazy,
+                                   const WeightExpr* weights,
                                    std::shared_ptr<const CompiledNfas> nfas)
-    : _network(&network), _query(&query), _weights(weights), _lazy(lazy),
+    : _network(&network), _query(&query), _weights(weights),
       _shared_nfas(std::move(nfas)) {
     AALWINES_ASSERT(_shared_nfas != nullptr, "shared-NFA cache without NFAs");
 }
@@ -913,7 +837,6 @@ Translation& TranslationCache::translation(Approximation approximation) {
         topts.approximation = approximation;
         topts.weights = _weights;
         topts.nfas = &nfas();
-        topts.lazy = _lazy;
         slot = std::make_unique<Translation>(*_network, *_query, topts);
     }
     return *slot;

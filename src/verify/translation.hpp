@@ -21,7 +21,6 @@
 #include "model/trace.hpp"
 #include "nfa/nfa.hpp"
 #include "pda/pautomaton.hpp"
-#include "pda/reduction.hpp"
 #include "pda/solver.hpp"
 #include "query/query.hpp"
 
@@ -74,9 +73,9 @@ struct LinkFootprint {
 /// chain emits, as walked by the translation itself — aggregated by
 /// (out-link, local failures): the two things a rule's copy count per query
 /// depends on (path-NFA moves over the out-link × failure slots left after
-/// its local failures).  A query then sizes its eager-equivalent rule total
-/// and its exact chain-interior pool in O(links × path-NFA moves) with no
-/// chain walk, and its lazy states look their entries up here.
+/// its local failures).  A query then sizes its whole-PDA rule total and its
+/// exact chain-interior pool in O(links × path-NFA moves) with no chain
+/// walk, and its control states look their entries up here.
 ///
 /// The Over/Under shapes assume the snapshot's link states: rules of a down
 /// in-link and rules over a down out-link are left out, and a group's local
@@ -154,50 +153,36 @@ struct TranslationOptions {
     const std::set<LinkId>* failed_links = nullptr;
     /// Pre-compiled query NFAs (see CompiledNfas); nullptr = compile here.
     const CompiledNfas* nfas = nullptr;
-    /// Demand-driven rule materialization: construction emits *no* rules and
-    /// registers the translation as the PDA's label-granular RuleProvider
-    /// instead; the rules leaving a control state (e, q, f) for one top
-    /// label γ — routing entry τ(e, γ)'s TE-group expansion × path-NFA moves
-    /// × failure slots, including the op chains — are generated when
-    /// post*/pre* first pops a transition with top γ out of that state.
-    /// Chain-interior states are pre-allocated from an exactly-sized pool
-    /// (sized from the snapshot's TranslationIndex), so the state space is
-    /// fixed up front and the P-automaton can share the id space safely.
-    /// reduce() becomes a no-op: the demand filter subsumes the
-    /// top-of-stack pass (see reduction.cpp).
+    /// Nothing reads this; kept because perfbench/ assigns it.
     bool lazy = false;
 };
 
+/// The network→PDA translation of one query, built on demand: construction
+/// emits *no* rules and registers the translation as the PDA's
+/// label-granular RuleProvider.  The rules leaving a control state (e, q, f)
+/// for one top label γ — routing entry τ(e, γ)'s TE-group expansion ×
+/// path-NFA moves × failure slots, including the op chains — are generated
+/// when post* first pops a transition with top γ out of that state, so
+/// rules that can never fire are never built (this subsumes the paper's
+/// top-of-stack reduction).  Consumers of the whole PDA (pre*, the concrete
+/// expansion, structural validation) get every rule through
+/// Pda::materialize_all().  Chain-interior states are pre-allocated from an
+/// exactly-sized pool (sized from the snapshot's TranslationIndex), so the
+/// state space is fixed up front and the P-automaton can share the id space
+/// safely.
 class Translation : public pda::RuleProvider {
 public:
     Translation(const Network& network, const query::Query& query,
                 const TranslationOptions& options);
-    /// Lazy mode registers `this` as the PDA's rule provider, so the
-    /// translation must stay put for the PDA's lifetime.
+    /// The translation is the PDA's rule provider, so it must stay put for
+    /// the PDA's lifetime.
     Translation(const Translation&) = delete;
     Translation& operator=(const Translation&) = delete;
 
     [[nodiscard]] pda::Pda& pda() noexcept { return *_pda; }
     [[nodiscard]] const pda::Pda& pda() const noexcept { return *_pda; }
 
-    /// Run the top-of-stack reduction at `level` (0 = off).  Idempotent: a
-    /// second call returns the first call's stats without touching the PDA,
-    /// so a translation shared across phases reduces exactly once.  A lazy
-    /// translation skips the pass (stats report zero rules removed): the
-    /// demand filter at materialization plays its role — see reduction.cpp.
-    pda::ReductionStats reduce(int level);
-
-    /// Rule count before the first reduce() ran (== rule_count() until
-    /// then); for a lazy translation the eager-equivalent total.
-    [[nodiscard]] std::size_t rules_before_reduction() const {
-        if (_lazy) return _total_rules;
-        return _reduced ? _reduce_stats.rules_before : _pda->rule_count();
-    }
-
-    /// Demand-driven construction active (TranslationOptions::lazy).
-    [[nodiscard]] bool lazy() const noexcept { return _lazy; }
-
-    /// Re-target this lazy translation at a patched snapshot of the same
+    /// Re-target this translation at a patched snapshot of the same
     /// network (identical link set and label alphabet — a delta that mints a
     /// label must fall back to a cold rebuild).  The two bitmaps split the
     /// delta by how it reaches a control state's rules:
@@ -244,13 +229,13 @@ public:
     /// validity contract.
     void add_to_footprint(LinkFootprint& fp) const;
 
-    /// Rules the eager pipeline would emit before reduction.  For a lazy
-    /// translation this is summed from the TranslationIndex's chain shapes
-    /// at construction; compare with pda().rule_count() (the materialized
-    /// subset) for the demand savings.
+    /// Rules of the whole PDA (what materialize_all() would emit), summed
+    /// from the TranslationIndex's chain shapes at construction; compare
+    /// with pda().rule_count() (the materialized subset) for the demand
+    /// savings.
     [[nodiscard]] std::size_t total_rules() const noexcept { return _total_rules; }
 
-    /// Chain-interior states of the lazy pool (exactly the eager build's
+    /// Chain-interior states of the pool (exactly the whole PDA's
     /// interiors, plus each rebase's affected-link contribution) not yet
     /// handed out.
     [[nodiscard]] std::size_t interior_pool_unused() const noexcept;
@@ -321,17 +306,13 @@ private:
         std::uint32_t local_failures = 0;
     };
 
-    /// "No filter" sentinel for the per-state emission filters below.
-    static constexpr std::uint32_t k_any = UINT32_MAX;
-
     void build_control_states();
     /// (Re)compute the post* source states from the path NFA's initial
     /// edges, excluding links a trace can never start on (administratively
     /// down; Exact: in the scenario's failure set).
     void compute_initial_states();
     void build_move_index();
-    void build_rules();
-    /// Eager-equivalent rule/interior counts of one in-link's entries.
+    /// Whole-PDA rule/interior counts of one in-link's entries.
     struct LinkLoad {
         std::size_t rules = 0;
         std::size_t interiors = 0;
@@ -347,12 +328,10 @@ private:
     /// weights without touching the in-link's own entries).
     [[nodiscard]] std::vector<char> affected_links(
         const std::vector<bool>& dirty, const std::vector<bool>& behavior_dirty) const;
-    /// Emit the rules of one routing entry.  `only_q`/`only_f` restrict
-    /// emission to rules leaving control state (in_link, only_q, only_f) —
-    /// the per-state slice lazy materialization demands; `k_any` disables a
-    /// filter (the eager whole-entry pass).
+    /// Emit the rules of one routing entry leaving control state
+    /// (in_link, q, f) — the slice one (state, label) demand asks for.
     void add_entry_rules(LinkId in_link, Label label, const RoutingEntry& groups,
-                         std::uint32_t only_q = k_any, std::uint32_t only_f = k_any);
+                         std::uint32_t q, std::uint32_t f);
     /// Invoke `fn(rule, local_failures)` for every forwarding rule of the
     /// entry that is eligible under the approximation (TE-priority and
     /// failure-budget handling shared by emission and Exact pool sizing).
@@ -361,10 +340,10 @@ private:
     struct EmitSink;
     void add_chain(pda::StateId from, Label top, const ForwardingRule& rule,
                    pda::StateId target, pda::Weight weight, std::uint32_t tag);
-    /// A fresh chain-interior state: allocated eagerly, or drawn from the
-    /// pre-sized pool in lazy mode (and marked materialized — its rules are
-    /// emitted with the chain that owns it).
-    [[nodiscard]] pda::StateId new_chain_state();
+    /// A fresh chain-interior state, drawn from the pre-sized pool (and
+    /// marked materialized — its rules are emitted with the chain that owns
+    /// it).
+    [[nodiscard]] pda::StateId next_pool_state();
     [[nodiscard]] pda::Weight make_step_weight(const ForwardingRule& rule,
                                                std::uint64_t local_failures) const;
     [[nodiscard]] pda::Weight make_initial_weight(LinkId first_link) const;
@@ -394,11 +373,8 @@ private:
     std::vector<StepInfo> _steps;           // indexed by rule tag
     std::vector<pda::StateId> _accepting_states;
     std::vector<pda::StateId> _initial_states;
-    bool _reduced = false;
-    pda::ReductionStats _reduce_stats;
 
-    bool _lazy = false;
-    std::size_t _total_rules = 0; ///< eager-equivalent rule count (pre-reduction)
+    std::size_t _total_rules = 0; ///< whole-PDA rule count
     /// The snapshot's entries and chain shapes (RoutingEntry pointers stay
     /// stable: the routing table is const for the translation's lifetime).
     std::shared_ptr<const TranslationIndex> _index;
@@ -417,12 +393,12 @@ private:
 /// of one verify() call.  The query NFAs are compiled once and shared, and
 /// when the query's failure budget is zero the two approximations emit
 /// rule-for-rule identical PDAs (both have a single failure slot), so they
-/// share a single Translation — the second phase then skips translation and
-/// reduction entirely.
+/// share a single Translation — the second phase then skips translation
+/// entirely.
 class TranslationCache {
 public:
     TranslationCache(const Network& network, const query::Query& query,
-                     const WeightExpr* weights, bool lazy = false);
+                     const WeightExpr* weights);
 
     /// Same, adopting pre-compiled query NFAs instead of compiling them
     /// here.  The sweep engine compiles one CompiledNfas per query template
@@ -432,8 +408,7 @@ public:
     /// and compiled from an identical query against a network with the same
     /// link ids and label table.
     TranslationCache(const Network& network, const query::Query& query,
-                     const WeightExpr* weights, bool lazy,
-                     std::shared_ptr<const CompiledNfas> nfas);
+                     const WeightExpr* weights, std::shared_ptr<const CompiledNfas> nfas);
 
     /// The memoized translation for `approximation` (Over or Under only;
     /// exact scenarios each need their own Translation — share nfas()).
@@ -461,7 +436,6 @@ private:
     const Network* _network;
     const query::Query* _query;
     const WeightExpr* _weights;
-    bool _lazy;
     CompiledNfas _nfas; ///< empty when _shared_nfas is set
     std::shared_ptr<const CompiledNfas> _shared_nfas;
     std::unique_ptr<Translation> _over;

@@ -393,7 +393,7 @@ TEST(Reverifier, ColdFallbacks) {
          "to": "e5", "ops": [{"op": "pop"}]}]})"));
     EXPECT_EQ(minting.verify(k_fig1_yes, spec).path, VerifyPath::Cold);
 
-    // Engines without a lazy translation cannot rebase.
+    // Engines that read the whole PDA (Moped, exact) cannot rebase.
     Reverifier moped(network);
     cli::VerifySpec moped_spec;
     moped_spec.engine = "moped";

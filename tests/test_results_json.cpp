@@ -65,7 +65,7 @@ TEST_F(ResultsJson, StatsOnRequest) {
     const auto result = run(text);
     const auto with = json::parse(result_to_json(net, text, result, true));
     EXPECT_NE(with.find("stats"), nullptr);
-    EXPECT_GT(with.at("stats").at("pdaRulesBeforeReduction").as_int(), 0);
+    EXPECT_GT(with.at("stats").at("over").at("pdaRulesTotal").as_int(), 0);
     EXPECT_FALSE(with.at("stats").at("usedUnderApproximation").as_bool());
     const auto without = json::parse(result_to_json(net, text, result, false));
     EXPECT_EQ(without.find("stats"), nullptr);

@@ -198,21 +198,13 @@ TEST(Sweep, MatchesOneByOneAcrossModesAndThreads) {
     spec.scenarios = make_single_failure_scenarios(net.network, 5);
 
     const auto weights = parse_weight_expression("hops");
-    for (const auto translation : {TranslationMode::Lazy, TranslationMode::Eager}) {
-        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-            VerifyOptions options;
-            options.engine = EngineKind::Weighted;
-            options.weights = &weights;
-            options.translation = translation;
-            const auto sweep = run_sweep(net.network, spec, options, jobs);
-            SCOPED_TRACE("translation=" + std::string(to_string(translation)) +
-                         " jobs=" + std::to_string(jobs));
-            expect_equivalent(net.network, spec, sweep, options);
-            // Eager translations cannot rebase: every cell saturates cold.
-            if (translation == TranslationMode::Eager) {
-                EXPECT_EQ(sweep.stats.cold_saturations, sweep.stats.cells);
-            }
-        }
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        VerifyOptions options;
+        options.engine = EngineKind::Weighted;
+        options.weights = &weights;
+        const auto sweep = run_sweep(net.network, spec, options, jobs);
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        expect_equivalent(net.network, spec, sweep, options);
     }
 }
 
@@ -273,15 +265,10 @@ TEST(Sweep, NightlyBattery) {
     spec.failure_budgets = {0, 1};
     spec.scenarios = make_single_failure_scenarios(net.network, 4 * scale);
 
-    for (const auto translation : {TranslationMode::Lazy, TranslationMode::Eager}) {
-        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-            VerifyOptions options;
-            options.translation = translation;
-            const auto sweep = run_sweep(net.network, spec, options, jobs);
-            SCOPED_TRACE("translation=" + std::string(to_string(translation)) +
-                         " jobs=" + std::to_string(jobs));
-            expect_equivalent(net.network, spec, sweep, options);
-        }
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        const auto sweep = run_sweep(net.network, spec, {}, jobs);
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        expect_equivalent(net.network, spec, sweep, {});
     }
 }
 

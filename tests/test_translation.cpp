@@ -42,7 +42,8 @@ TEST_F(TranslationFixture, BuildsControlStatesAndRules) {
     const auto query = parse("<ip> [.#v0] .* [v3#.] <ip> 0");
     Translation translation(net, query, {});
     EXPECT_GT(translation.pda().state_count(), 0u);
-    EXPECT_GT(translation.pda().rule_count(), 0u);
+    EXPECT_GT(translation.total_rules(), 0u);
+    EXPECT_EQ(translation.pda().rule_count(), 0u); // every rule waits for demand
     EXPECT_FALSE(translation.initial_states().empty());
     EXPECT_FALSE(translation.accepting_states().empty());
 }
@@ -102,23 +103,6 @@ TEST_F(TranslationFixture, UnderApproximationAdmitsWithBudget) {
     ASSERT_TRUE(trace.has_value());
     EXPECT_TRUE(check_feasibility(net, *trace, 1).feasible);
     EXPECT_EQ(trace->size(), 5u); // σ2
-}
-
-TEST_F(TranslationFixture, ReductionShrinksRuleSet) {
-    // A very specific query: most forwarding entries cannot participate.
-    const auto query = parse("<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0");
-    Translation with(net, query, {});
-    const auto before = with.pda().rule_count();
-    const auto stats = with.reduce(2);
-    EXPECT_EQ(stats.rules_before, before);
-    EXPECT_LT(stats.rules_after, before);
-
-    // Reduction must not change the verdict.
-    auto aut = with.make_initial_automaton();
-    pda::post_star(aut);
-    EXPECT_TRUE(pda::find_accepted(aut, with.accepting_states(), with.final_header_nfa(),
-                                   static_cast<pda::Symbol>(net.labels.size()))
-                    .has_value());
 }
 
 TEST_F(TranslationFixture, WeightedTranslationReportsMinimum) {
@@ -216,7 +200,9 @@ TEST(TranslationChains, MultiPopChainsVerifyEndToEnd) {
 }
 
 // ---------------------------------------------------------------------------
-// Demand-driven (lazy) translation equivalence.
+// Demand-driven translation equivalence.  The reference is the whole PDA:
+// the same translation with every rule materialized up front
+// (Pda::materialize_all) before anything saturates.
 
 /// Figure 1 with links administratively down: e2 (an out-link of a
 /// higher-priority group, so lower groups forward for free) and e5.
@@ -229,12 +215,23 @@ Network figure1_with_down_links() {
     return net;
 }
 
-/// The index behind the lazy interior pool must be *exact*: the totals it
-/// yields without any chain walk equal an eager build's, and after
-/// materialize_all the lazy PDA has rule-for-rule and state-for-state the
-/// same totals as the eager one (ids and order may differ), with the pool
-/// fully consumed — no interior left over, none missing.  Over and Under,
-/// k ∈ {0, 1, 2}, with and without administratively down links.
+/// verify() with every rule of both approximations materialized before the
+/// first saturation — the whole-PDA reference run.
+VerifyResult verify_whole_pda(const Network& net, const query::Query& query,
+                              const VerifyOptions& options) {
+    TranslationCache cache(net, query,
+                           options.engine == EngineKind::Weighted ? options.weights : nullptr);
+    for (const auto approx : {Approximation::Over, Approximation::Under})
+        cache.translation(approx).pda().materialize_all();
+    return verify(net, query, options, cache);
+}
+
+/// The index behind the interior pool must be *exact*: the rule total it
+/// yields without any chain walk equals what emission produces once
+/// materialize_all has demanded every (state, label) pair, the state space
+/// does not grow, and the pool is fully consumed — no interior left over.
+/// Over and Under, k ∈ {0, 1, 2}, with and without administratively down
+/// links.
 TEST_F(TranslationFixture, LazyMaterializeAllMatchesEagerTotals) {
     const std::vector<std::string> queries = {
         "<ip> [.#v0] .* [v3#.] <ip> 0",
@@ -249,47 +246,39 @@ TEST_F(TranslationFixture, LazyMaterializeAllMatchesEagerTotals) {
         for (const auto& text : queries) {
             const auto query = query::parse_query(text, *network);
             for (const auto approx : {Approximation::Over, Approximation::Under}) {
-                TranslationOptions eager_opts;
-                eager_opts.approximation = approx;
-                Translation eager(*network, query, eager_opts);
+                TranslationOptions options;
+                options.approximation = approx;
+                Translation whole(*network, query, options);
+                EXPECT_TRUE(whole.pda().lazy());
+                EXPECT_EQ(whole.pda().rule_count(), 0u) << text;
+                const auto states = whole.pda().state_count();
 
-                TranslationOptions lazy_opts = eager_opts;
-                lazy_opts.lazy = true;
-                Translation lazy(*network, query, lazy_opts);
-                EXPECT_TRUE(lazy.pda().lazy());
-                EXPECT_EQ(lazy.pda().rule_count(), 0u) << text;
-                EXPECT_EQ(lazy.total_rules(), eager.pda().rule_count()) << text;
-                EXPECT_EQ(lazy.total_rules(), eager.total_rules()) << text;
-                // State parity pins the interior pool: every chain interior
-                // the eager build created exists in the pool, and vice versa.
-                EXPECT_EQ(lazy.pda().state_count(), eager.pda().state_count()) << text;
-
-                lazy.pda().materialize_all();
-                EXPECT_TRUE(lazy.pda().fully_materialized());
-                EXPECT_EQ(lazy.pda().rule_count(), eager.pda().rule_count()) << text;
-                EXPECT_EQ(lazy.pda().state_count(), eager.pda().state_count()) << text;
-                EXPECT_EQ(lazy.interior_pool_unused(), 0u) << text;
+                whole.pda().materialize_all();
+                EXPECT_TRUE(whole.pda().fully_materialized());
+                EXPECT_EQ(whole.pda().rule_count(), whole.total_rules()) << text;
+                EXPECT_EQ(whole.pda().state_count(), states) << text;
+                EXPECT_EQ(whole.interior_pool_unused(), 0u) << text;
             }
         }
     }
 }
 
-/// Every rule leaving a control state gets the key an eager build gives it,
-/// whatever order its labels are demanded in (rule keys drive the weighted
-/// engine's canonical tie-breaks).
+/// Every rule leaving a control state gets the key the whole-PDA build
+/// gives it, whatever order its labels are demanded in (rule keys drive the
+/// weighted engine's canonical tie-breaks).
 TEST_F(TranslationFixture, LabelDemandKeepsEagerRuleKeys) {
     const auto query = parse("<mpls* smpls? ip> .* <mpls* smpls? ip> 1");
     TranslationOptions options;
     options.approximation = Approximation::Under;
-    Translation eager(net, query, options);
-    options.lazy = true;
-    Translation lazy(net, query, options);
+    Translation whole(net, query, options);
+    whole.pda().materialize_all(); // ascending state ids, labels ascending
+    Translation demanded(net, query, options);
     // Demand every (control state, label) pair in descending label order.
     // Control states are the label-granular ones, numbered before interiors.
-    const auto control = [&](pda::StateId s) { return lazy.state_labels(s) != nullptr; };
-    for (pda::StateId s = 0; s < lazy.pda().state_count() && control(s); ++s)
+    const auto control = [&](pda::StateId s) { return demanded.state_labels(s) != nullptr; };
+    for (pda::StateId s = 0; s < demanded.pda().state_count() && control(s); ++s)
         for (auto label = static_cast<pda::Symbol>(net.labels.size()); label-- > 0;)
-            lazy.pda().for_each_applicable(s, label, [](pda::RuleId, const auto&) {});
+            demanded.pda().for_each_applicable(s, label, [](pda::RuleId, const auto&) {});
     const auto control_keys = [&](const pda::Pda& pda) {
         std::vector<std::pair<pda::RuleKey, std::uint32_t>> keys; // (key, target if control)
         for (pda::RuleId id = 0; id < pda.rule_slot_count(); ++id) {
@@ -300,14 +289,13 @@ TEST_F(TranslationFixture, LabelDemandKeepsEagerRuleKeys) {
         std::sort(keys.begin(), keys.end());
         return keys;
     };
-    EXPECT_FALSE(control_keys(eager.pda()).empty());
-    EXPECT_EQ(control_keys(lazy.pda()), control_keys(eager.pda()));
-    EXPECT_GT(lazy.pda().demanded_label_count(), 0u);
+    EXPECT_FALSE(control_keys(whole.pda()).empty());
+    EXPECT_EQ(control_keys(demanded.pda()), control_keys(whole.pda()));
+    EXPECT_GT(demanded.pda().demanded_label_count(), 0u);
 }
 
-/// Lazy and eager must give identical answers, witness traces and weights
-/// through the full verify() pipeline (reduction on for eager, skipped for
-/// lazy — the demand filter subsumes it).
+/// Demand-driven and whole-PDA runs must give identical answers, witness
+/// traces and weights through the full verify() pipeline.
 TEST_F(TranslationFixture, LazyVerifyMatchesEagerVerify) {
     const std::vector<std::string> queries = {
         "<ip> [.#v0] .* [v3#.] <ip> 0",
@@ -319,28 +307,24 @@ TEST_F(TranslationFixture, LazyVerifyMatchesEagerVerify) {
     };
     for (const auto& text : queries) {
         const auto query = parse(text);
-        VerifyOptions lazy_opts;
-        lazy_opts.translation = TranslationMode::Lazy;
-        VerifyOptions eager_opts;
-        eager_opts.translation = TranslationMode::Eager;
-        const auto lazy = verify(net, query, lazy_opts);
-        const auto eager = verify(net, query, eager_opts);
-        EXPECT_EQ(lazy.answer, eager.answer) << text;
-        EXPECT_EQ(lazy.weight, eager.weight) << text;
-        ASSERT_EQ(lazy.trace.has_value(), eager.trace.has_value()) << text;
-        if (lazy.trace) {
-            EXPECT_EQ(*lazy.trace, *eager.trace) << text;
+        const auto demanded = verify(net, query, {});
+        const auto whole = verify_whole_pda(net, query, {});
+        EXPECT_EQ(demanded.answer, whole.answer) << text;
+        EXPECT_EQ(demanded.weight, whole.weight) << text;
+        ASSERT_EQ(demanded.trace.has_value(), whole.trace.has_value()) << text;
+        if (demanded.trace) {
+            EXPECT_EQ(*demanded.trace, *whole.trace) << text;
         }
-        EXPECT_TRUE(lazy.stats.over.lazy_translation) << text;
-        EXPECT_FALSE(eager.stats.over.lazy_translation) << text;
-        EXPECT_LE(lazy.stats.over.pda_rules_materialized,
-                  lazy.stats.over.pda_rules_total)
+        EXPECT_LE(demanded.stats.over.pda_rules_materialized,
+                  demanded.stats.over.pda_rules_total)
             << text;
-        // The index-derived total is the eager build's rule count.
-        EXPECT_EQ(lazy.stats.over.pda_rules_total, eager.stats.over.pda_rules_total) << text;
-        EXPECT_EQ(lazy.stats.under.pda_rules_total, eager.stats.under.pda_rules_total) << text;
-        EXPECT_GT(lazy.stats.over.pda_labels_materialized, 0u) << text;
-        EXPECT_EQ(eager.stats.over.pda_labels_materialized, 0u) << text;
+        EXPECT_EQ(whole.stats.over.pda_rules_materialized, whole.stats.over.pda_rules_total)
+            << text;
+        EXPECT_EQ(demanded.stats.over.pda_rules_total, whole.stats.over.pda_rules_total)
+            << text;
+        EXPECT_EQ(demanded.stats.under.pda_rules_total, whole.stats.under.pda_rules_total)
+            << text;
+        EXPECT_GT(demanded.stats.over.pda_labels_materialized, 0u) << text;
     }
 }
 
@@ -349,19 +333,16 @@ TEST_F(TranslationFixture, LazyVerifyMatchesEagerVerify) {
 TEST_F(TranslationFixture, LazyWeightedVerifyMatchesEager) {
     const auto query = parse("<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1");
     const auto weights = parse_weight_expression("hops, failures + 3*tunnels");
-    std::vector<VerifyResult> results;
-    for (const auto mode : {TranslationMode::Lazy, TranslationMode::Eager}) {
-        VerifyOptions options;
-        options.engine = EngineKind::Weighted;
-        options.weights = &weights;
-        options.translation = mode;
-        const auto result = verify(net, query, options);
+    VerifyOptions options;
+    options.engine = EngineKind::Weighted;
+    options.weights = &weights;
+    const std::vector<VerifyResult> results = {verify(net, query, options),
+                                               verify_whole_pda(net, query, options)};
+    for (const auto& result : results) {
         EXPECT_EQ(result.answer, Answer::Yes);
         EXPECT_EQ(result.weight, (std::vector<std::uint64_t>{5, 0}));
         ASSERT_TRUE(result.trace.has_value());
-        EXPECT_EQ(evaluate(net, *result.trace, weights),
-                  (std::vector<std::uint64_t>{5, 0}));
-        results.push_back(result);
+        EXPECT_EQ(evaluate(net, *result.trace, weights), (std::vector<std::uint64_t>{5, 0}));
     }
     // Canonical tie-breaks make the weighted witness demand-order proof.
     EXPECT_EQ(*results[0].trace, *results[1].trace);
@@ -371,7 +352,7 @@ TEST_F(TranslationFixture, LazyWeightedVerifyMatchesEager) {
 }
 
 /// Battery-level equivalence on a synthesized operator network, including a
-/// case where lazy materializes strictly less than the eager total.
+/// case where demand materializes strictly less than the whole PDA.
 TEST(TranslationLazy, NordunetBatteryMatchesEagerAndSavesWork) {
     auto synth = synthesis::make_nordunet_like();
     const auto& net = synth.network;
@@ -383,21 +364,19 @@ TEST(TranslationLazy, NordunetBatteryMatchesEagerAndSavesWork) {
     std::size_t partial = 0;
     for (const auto& text : battery) {
         const auto query = query::parse_query(text, net);
-        VerifyOptions lazy_opts;
-        lazy_opts.translation = TranslationMode::Lazy;
-        VerifyOptions eager_opts;
-        eager_opts.translation = TranslationMode::Eager;
-        const auto lazy = verify(net, query, lazy_opts);
-        const auto eager = verify(net, query, eager_opts);
-        EXPECT_EQ(lazy.answer, eager.answer) << text;
-        EXPECT_EQ(lazy.weight, eager.weight) << text;
-        ASSERT_EQ(lazy.trace.has_value(), eager.trace.has_value()) << text;
-        if (lazy.trace) {
-            EXPECT_EQ(*lazy.trace, *eager.trace) << text;
+        const auto demanded = verify(net, query, {});
+        const auto whole = verify_whole_pda(net, query, {});
+        EXPECT_EQ(demanded.answer, whole.answer) << text;
+        EXPECT_EQ(demanded.weight, whole.weight) << text;
+        ASSERT_EQ(demanded.trace.has_value(), whole.trace.has_value()) << text;
+        if (demanded.trace) {
+            EXPECT_EQ(*demanded.trace, *whole.trace) << text;
         }
-        EXPECT_EQ(lazy.stats.over.pda_rules_total, eager.stats.over.pda_rules_total) << text;
-        EXPECT_EQ(lazy.stats.under.pda_rules_total, eager.stats.under.pda_rules_total) << text;
-        if (lazy.stats.over.pda_rules_materialized < lazy.stats.over.pda_rules_total)
+        EXPECT_EQ(demanded.stats.over.pda_rules_total, whole.stats.over.pda_rules_total)
+            << text;
+        EXPECT_EQ(demanded.stats.under.pda_rules_total, whole.stats.under.pda_rules_total)
+            << text;
+        if (demanded.stats.over.pda_rules_materialized < demanded.stats.over.pda_rules_total)
             ++partial;
     }
     // The index sizes Over and Under at k = 0, 1, 2 exactly, with and
@@ -412,19 +391,17 @@ TEST(TranslationLazy, NordunetBatteryMatchesEagerAndSavesWork) {
             for (const auto approx : {Approximation::Over, Approximation::Under}) {
                 TranslationOptions options;
                 options.approximation = approx;
-                Translation eager(*network, query, options);
-                options.lazy = true;
-                Translation lazy(*network, query, options);
-                EXPECT_EQ(lazy.total_rules(), eager.pda().rule_count()) << "k " << k;
-                EXPECT_EQ(lazy.pda().state_count(), eager.pda().state_count()) << "k " << k;
-                lazy.pda().materialize_all();
-                EXPECT_EQ(lazy.pda().rule_count(), eager.pda().rule_count()) << "k " << k;
-                EXPECT_EQ(lazy.interior_pool_unused(), 0u) << "k " << k;
+                Translation whole(*network, query, options);
+                const auto states = whole.pda().state_count();
+                whole.pda().materialize_all();
+                EXPECT_EQ(whole.pda().rule_count(), whole.total_rules()) << "k " << k;
+                EXPECT_EQ(whole.pda().state_count(), states) << "k " << k;
+                EXPECT_EQ(whole.interior_pool_unused(), 0u) << "k " << k;
             }
         }
     }
     // Early termination must leave at least some batteries partially
-    // materialized — otherwise the lazy path degenerated to eager-with-steps.
+    // materialized — otherwise demand degenerated to the whole PDA.
     EXPECT_GT(partial, 0u);
 }
 
@@ -435,10 +412,8 @@ TEST(TranslationLazy, NordunetBatteryMatchesEagerAndSavesWork) {
 /// the memoized one, and it equals a build from scratch.
 TEST_F(TranslationFixture, IndexIsMemoizedPerSnapshot) {
     const auto query = parse("<ip> [.#v0] .* [v3#.] <ip> 0");
-    TranslationOptions options;
-    options.lazy = true;
-    Translation first(net, query, options);
-    Translation second(net, query, options);
+    Translation first(net, query, {});
+    Translation second(net, query, {});
     EXPECT_EQ(&first.index(), &second.index());
     EXPECT_EQ(&first.index(), TranslationIndex::of(net).get());
     EXPECT_EQ(first.index(), TranslationIndex(net));
@@ -494,9 +469,7 @@ TEST(TranslationIndexConcurrency, TwoFirstQueriesBuildOneIndex) {
     for (std::size_t t = 0; t < 2; ++t)
         threads.emplace_back([&, t] {
             const auto query = query::parse_query(queries[t], net);
-            TranslationOptions options;
-            options.lazy = true;
-            Translation translation(net, query, options);
+            Translation translation(net, query, {});
             auto automaton = translation.make_initial_automaton();
             (void)pda::post_star(automaton);
             seen[t] = &translation.index();
