@@ -90,6 +90,24 @@ void translation_only_lazy(benchmark::State& state) {
     }
 }
 
+/// A cold query's fixed cost, with no saturation: compile the query NFAs,
+/// build the translation and the initial P-automaton, and tear both down.
+/// Storage follows the states a query touches, so this stays flat however
+/// large the PDA's interior pool is.
+void cold_query_setup(benchmark::State& state) {
+    const auto instance = make_instance(static_cast<std::size_t>(state.range(0)));
+    const auto query =
+        query::parse_query(instance.query_text, instance.net.network);
+    std::size_t pda_states = 0;
+    for (auto _ : state) {
+        verify::Translation translation(instance.net.network, query, {});
+        auto aut = translation.make_initial_automaton();
+        benchmark::DoNotOptimize(aut.transition_count());
+        pda_states = translation.pda().state_count();
+    }
+    state.counters["pda_states"] = static_cast<double>(pda_states);
+}
+
 /// Operator-network scaling: end-to-end verification time as the rule
 /// count grows (the paper's NORDUnet snapshot has >250k rules; the arg is
 /// the number of synthesized service chains, ~10 rules each).
@@ -139,6 +157,7 @@ BENCHMARK(translation_only_lazy)
     ->Arg(16)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(cold_query_setup)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 BENCHMARK(nordunet_scaling)->Arg(100)->Arg(400)->Arg(1600)->Unit(benchmark::kMillisecond);
 BENCHMARK(nordunet_scaling_moped)
     ->Arg(100)

@@ -151,10 +151,10 @@ struct Network {
     /// index of src/verify/translation.hpp), keyed by content_key().
     SnapshotMemo derived;
 
-    /// The content stamps `derived` is keyed by.  Label ids are never
-    /// re-typed, so minting a label changes nothing a memo depends on.
+    /// The content stamps `derived` is keyed by, plus the label count (a
+    /// minted label changes the alphabet the translation index carries).
     [[nodiscard]] SnapshotMemo::Key content_key() const noexcept {
-        return {routing.stamp(), topology.stamp()};
+        return {routing.stamp(), topology.stamp(), labels.size()};
     }
 };
 

@@ -57,6 +57,9 @@ public:
     struct Key {
         std::uint64_t routing = 0;
         std::uint64_t topology = 0;
+        /// Label count: labels are only ever appended and never re-typed,
+        /// so the count identifies the label alphabet.
+        std::uint64_t labels = 0;
         bool operator==(const Key&) const = default;
     };
 

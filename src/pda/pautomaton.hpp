@@ -18,6 +18,7 @@
 #include "nfa/symbol_set.hpp"
 #include "pda/pda.hpp"
 #include "pda/weight.hpp"
+#include "util/check.hpp"
 #include "util/flat_map.hpp"
 
 namespace aalwines::pda {
@@ -116,6 +117,13 @@ struct EpsTransition {
     bool finalized = false;
 };
 
+/// Storage follows use, not ids.  States [0, pda.state_count()) mirror the
+/// PDA states, but only those up to the highest one that a transition or
+/// ε-move leaves, an ε-move enters or a final mark names are stored; helper
+/// states (header-NFA copies, push mid-states) are numbered from
+/// pda.state_count() and stored from that base.  Construction and teardown
+/// therefore cost what the saturation touched, not the PDA's state space (a
+/// translation's interior pool).
 class PAutomaton {
 public:
     /// States [0, pda.state_count()) mirror the PDA control states.
@@ -125,11 +133,38 @@ public:
 
     StateId add_state();
     void set_final(StateId state, bool final = true);
-    [[nodiscard]] bool is_final(StateId state) const { return _final[state]; }
+    [[nodiscard]] bool is_final(StateId state) const {
+        const auto* edges = edges_of(state);
+        return edges != nullptr && edges->final;
+    }
     [[nodiscard]] bool is_control_state(StateId state) const noexcept {
         return state < _control_count;
     }
-    [[nodiscard]] std::size_t state_count() const noexcept { return _trans_from.size(); }
+    [[nodiscard]] std::size_t state_count() const noexcept {
+        return _control_count + _helpers.size();
+    }
+
+    /// Dense numbering of the stored states, for per-state tables of a pass
+    /// over the saturated automaton (find_accepted): the touched prefix of
+    /// the PDA states, then the helpers.  dense_index is defined on stored
+    /// states only (has_storage); an unstored state — at most the target of
+    /// a transition — has no outgoing edges and is not final.
+    [[nodiscard]] std::size_t dense_count() const noexcept {
+        return _pda_states.size() + _helpers.size();
+    }
+    [[nodiscard]] bool has_storage(StateId state) const noexcept {
+        return state >= _control_count || state < _pda_states.size();
+    }
+    [[nodiscard]] std::uint32_t dense_index(StateId state) const noexcept {
+        return state < _control_count
+                   ? state
+                   : static_cast<std::uint32_t>(_pda_states.size() + (state - _control_count));
+    }
+    [[nodiscard]] StateId state_of_dense(std::uint32_t index) const noexcept {
+        return index < _pda_states.size()
+                   ? index
+                   : static_cast<StateId>(_control_count + (index - _pda_states.size()));
+    }
 
     /// Insert or relax a transition.  Returns {id, improved}: `improved` is
     /// true when the transition is new or its weight strictly decreased
@@ -147,14 +182,20 @@ public:
     [[nodiscard]] std::size_t transition_count() const noexcept { return _transitions.size(); }
     [[nodiscard]] std::size_t epsilon_count() const noexcept { return _epsilons.size(); }
 
+    /// Per-state edge lists.  The references stay valid until the next
+    /// add_transition, add_epsilon, set_final or add_state (which may move
+    /// the storage): a loop that inserts must re-read them by index.
     [[nodiscard]] const std::vector<TransId>& transitions_from(StateId state) const {
-        return _trans_from[state];
+        const auto* edges = edges_of(state);
+        return edges != nullptr ? edges->trans_from : k_no_ids;
     }
     [[nodiscard]] const std::vector<std::uint32_t>& epsilons_into(StateId state) const {
-        return _eps_by_target[state];
+        const auto* edges = edges_of(state);
+        return edges != nullptr ? edges->eps_into : k_no_ids;
     }
     [[nodiscard]] const std::vector<std::uint32_t>& epsilons_from(StateId state) const {
-        return _eps_from[state];
+        const auto* edges = edges_of(state);
+        return edges != nullptr ? edges->eps_from : k_no_ids;
     }
 
     /// The shared mid-state q_{p,γ} for post* push rules targeting (to, top).
@@ -185,7 +226,7 @@ public:
 
     /// Stable content key of a state (see above); sortable, run-independent.
     [[nodiscard]] std::uint64_t canonical_state(StateId state) const noexcept {
-        return _canonical_key[state];
+        return state < _control_count ? state : _helper_keys[state - _control_count];
     }
 
     /// Total orders on transition/ε identities and provenance records.
@@ -201,22 +242,45 @@ public:
     [[nodiscard]] bool all_scalar_weights() const noexcept { return _all_weights_scalar; }
 
 private:
+    /// Edge lists and final mark of one stored state.
+    struct StateEdges {
+        std::vector<TransId> trans_from;
+        std::vector<std::uint32_t> eps_into;
+        std::vector<std::uint32_t> eps_from;
+        bool final = false;
+    };
+    inline static const std::vector<std::uint32_t> k_no_ids;
+
     [[nodiscard]] static std::uint64_t pack(StateId hi, std::uint32_t lo) noexcept {
         return (static_cast<std::uint64_t>(hi) << 32) | lo;
+    }
+    /// The state's storage, nullptr for an untouched PDA state.
+    [[nodiscard]] const StateEdges* edges_of(StateId state) const noexcept {
+        if (state < _control_count)
+            return state < _pda_states.size() ? &_pda_states[state] : nullptr;
+        return &_helpers[state - _control_count];
+    }
+    /// The state's storage, created on first touch.
+    StateEdges& touch(StateId state) {
+        if (state >= _control_count) {
+            AALWINES_ASSERT(state - _control_count < _helpers.size(),
+                            "edge endpoint is not an automaton state");
+            return _helpers[state - _control_count];
+        }
+        if (state >= _pda_states.size()) _pda_states.resize(state + 1);
+        return _pda_states[state];
     }
 
     const Pda* _pda;
     std::size_t _control_count;
-    std::vector<bool> _final;
     std::vector<Transition> _transitions;
     std::vector<EpsTransition> _epsilons;
-    std::vector<std::vector<TransId>> _trans_from;
-    std::vector<std::vector<std::uint32_t>> _eps_by_target;
-    std::vector<std::vector<std::uint32_t>> _eps_from;
+    std::vector<StateEdges> _pda_states; ///< PDA states, up to the highest touched
+    std::vector<StateEdges> _helpers;    ///< helper state _control_count + i
+    std::vector<std::uint64_t> _helper_keys; ///< canonical key per helper
     util::FlatMap64 _concrete_heads; ///< (from,symbol) → head of next_same_key chain
     util::FlatMap64 _eps_index;      ///< (from,to) → ε id
     util::FlatMap64 _mid_states;     ///< (to,top) → state
-    std::vector<std::uint64_t> _canonical_key; ///< per state, see canonical_state
     bool _all_weights_scalar = true;
     bool _canonical_tiebreaks = false;
 };

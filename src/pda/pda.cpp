@@ -6,19 +6,27 @@
 
 namespace aalwines::pda {
 
-void Pda::set_symbol_class(Symbol symbol, SymbolClass cls) {
-    AALWINES_ASSERT(symbol < _alphabet_size, "symbol outside the stack alphabet");
-    if (_symbol_classes.size() <= symbol) _symbol_classes.resize(symbol + 1, k_no_class);
-    const auto previous = _symbol_classes[symbol];
-    if (previous == cls) return;
-    _symbol_classes[symbol] = cls;
-    // Only the two affected class sets change membership.
-    _class_sets[previous].reset();
-    _class_sets[cls].reset();
+SymbolClasses::SymbolClasses(std::vector<SymbolClass> class_of)
+    : _class_of(std::move(class_of)) {
+    std::vector<std::vector<Symbol>> members;
+    for (Symbol s = 0; s < _class_of.size(); ++s) {
+        const auto cls = _class_of[s];
+        if (cls == k_no_class) continue;
+        if (members.size() <= cls) members.resize(cls + 1);
+        members[cls].push_back(s);
+    }
+    _members.reserve(members.size());
+    for (auto& symbols : members) _members.push_back(nfa::SymbolSet::of(std::move(symbols)));
+}
+
+const nfa::SymbolSet& SymbolClasses::members(SymbolClass cls) const {
+    static const nfa::SymbolSet empty;
+    return cls < _members.size() ? _members[cls] : empty;
 }
 
 void Pda::index_rule(RuleId id) {
     auto& rule = _rules[id];
+    if (rule.from >= _match_by_state.size()) _match_by_state.resize(rule.from + 1);
     auto& match = _match_by_state[rule.from];
     std::uint32_t list = UINT32_MAX;
     switch (rule.pre.kind) {
@@ -63,8 +71,8 @@ void Pda::index_rule(RuleId id) {
 }
 
 RuleId Pda::add_rule(Rule rule) {
-    AALWINES_ASSERT(rule.from < _match_by_state.size(), "rule.from is not a PDA state");
-    AALWINES_ASSERT(rule.to < _match_by_state.size(), "rule.to is not a PDA state");
+    AALWINES_ASSERT(rule.from < _state_count, "rule.from is not a PDA state");
+    AALWINES_ASSERT(rule.to < _state_count, "rule.to is not a PDA state");
     AALWINES_ASSERT(rule.op != Rule::OpKind::Swap || rule.label1 < _alphabet_size,
                     "swap rule writes a symbol outside the stack alphabet");
     AALWINES_ASSERT(rule.op != Rule::OpKind::Push ||
@@ -89,17 +97,7 @@ RuleId Pda::add_rule(Rule rule) {
                         "lazy provider declared scalar weights but emitted a vector one");
         _all_weights_scalar = false;
     }
-    if (_provider != nullptr) {
-        // Lazy mode: the per-target index is live from the start and filled
-        // on demand, rule by rule, instead of by a whole-PDA rebuild.
-        switch (rule.op) {
-            case Rule::OpKind::Swap: _swaps_into[rule.to].push_back(id); break;
-            case Rule::OpKind::Push: _pushes_into[rule.to].push_back(id); break;
-            case Rule::OpKind::Pop: break;
-        }
-    } else {
-        _target_index_ready = false;
-    }
+    _target_index_ready = false;
     if (id < _rules.size()) {
         _rules[id] = std::move(rule);
     } else {
@@ -111,13 +109,8 @@ RuleId Pda::add_rule(Rule rule) {
 }
 
 const nfa::SymbolSet& Pda::class_set(SymbolClass cls) const {
-    auto& cached = _class_sets[cls];
-    if (cached) return *cached;
-    std::vector<Symbol> members;
-    for (Symbol s = 0; s < _symbol_classes.size(); ++s)
-        if (_symbol_classes[s] == cls) members.push_back(s);
-    cached = nfa::SymbolSet::of(std::move(members));
-    return *cached;
+    static const nfa::SymbolSet empty;
+    return _classes != nullptr ? _classes->members(cls) : empty;
 }
 
 nfa::SymbolSet Pda::pre_set(const PreSpec& pre) const {
@@ -134,19 +127,12 @@ void Pda::set_rule_provider(RuleProvider* provider, bool weights_scalar_hint) {
     AALWINES_ASSERT(_provider == nullptr, "rule provider already attached");
     AALWINES_ASSERT(_rules.empty(), "the provider must be attached before any rule");
     _provider = provider;
-    _materialized.assign(state_count(), false);
-    _touched.assign(state_count(), false);
-    _labels_demanded.assign(state_count(), 0);
-    _demand_epoch.assign(state_count(), 0);
+    _demand.clear();
     _label_marks.clear();
     _demanded_count = 0;
     _full_count = 0;
     _demanded_labels = 0;
     _all_weights_scalar = weights_scalar_hint;
-    // The per-target index is filled incrementally by add_rule from now on.
-    _swaps_into.assign(state_count(), {});
-    _pushes_into.assign(state_count(), {});
-    _target_index_ready = true;
 }
 
 void Pda::mark_materialized(StateId state) {
@@ -155,15 +141,17 @@ void Pda::mark_materialized(StateId state) {
 }
 
 void Pda::set_materialized(StateId state) const {
-    if (_materialized[state]) return;
-    _materialized[state] = true;
+    auto& record = demand_of(state);
+    if (record.materialized) return;
+    record.materialized = true;
     ++_full_count;
     touch(state);
 }
 
 void Pda::touch(StateId state) const {
-    if (_touched[state]) return;
-    _touched[state] = true;
+    auto& record = demand_of(state);
+    if (record.touched) return;
+    record.touched = true;
     ++_demanded_count;
     telemetry::count(telemetry::Counter::pda_states_materialized);
 }
@@ -182,15 +170,15 @@ void Pda::demand_label(StateId state, const std::vector<Symbol>& labels,
                        std::size_t index) const {
     if (label_demanded(state, labels[index])) return;
     auto* self = const_cast<Pda*>(this); // NOLINT(cppcoreguidelines-pro-type-const-cast)
-    _label_marks.insert_or_assign(concrete_key(state, labels[index]), _demand_epoch[state]);
     touch(state);
-    ++_labels_demanded[state];
+    _label_marks.insert_or_assign(concrete_key(state, labels[index]), _demand[state].epoch);
+    const auto done = ++_demand[state].labels_demanded;
     ++_demanded_labels;
     const auto before = _rules_added;
     self->_provider->materialize_label(*self, state, index);
     telemetry::count(telemetry::Counter::pda_labels_materialized);
     telemetry::count(telemetry::Counter::pda_rules_materialized, _rules_added - before);
-    if (_labels_demanded[state] == labels.size()) set_materialized(state);
+    if (done == labels.size()) set_materialized(state);
 }
 
 void Pda::demand(StateId state, Symbol label) const {
@@ -234,7 +222,7 @@ void Pda::demand(StateId state, const nfa::SymbolSet& label) const {
         }
         return;
     }
-    for (std::size_t i = 0; i < labels->size() && !_materialized[state]; ++i)
+    for (std::size_t i = 0; i < labels->size() && !materialized(state); ++i)
         if (label.contains((*labels)[i])) demand_label(state, *labels, i);
 }
 
@@ -244,7 +232,7 @@ void Pda::materialize_all() const {
     // state that owns their chain, so iterating every state in id order
     // leaves exactly the never-demanded pool states as no-ops.
     for (StateId s = 0; s < state_count(); ++s) {
-        if (_materialized[s]) continue;
+        if (materialized(s)) continue;
         if (const auto* labels = _provider->state_labels(s)) {
             for (std::size_t i = 0; i < labels->size(); ++i) demand_label(s, *labels, i);
             set_materialized(s); // also covers a label-less state
@@ -255,16 +243,12 @@ void Pda::materialize_all() const {
 }
 
 void Pda::build_target_index() const {
-    if (_provider != nullptr) {
-        // Lazy mode keeps the index live incrementally; a caller that wants
-        // the *complete* index (pre*) needs the whole rule set.
-        materialize_all();
-        return;
-    }
     if (_target_index_ready) return;
+    materialize_all(); // pre* needs the complete index, hence every rule
     _swaps_into.assign(state_count(), {});
     _pushes_into.assign(state_count(), {});
     for (RuleId id = 0; id < _rules.size(); ++id) {
+        if (_dead_rules[id]) continue;
         const auto& rule = _rules[id];
         switch (rule.op) {
             case Rule::OpKind::Swap: _swaps_into[rule.to].push_back(id); break;
@@ -280,34 +264,36 @@ void Pda::invalidate_states(const std::vector<StateId>& heads,
     AALWINES_ASSERT(_provider != nullptr,
                     "invalidate_states is the lazy-PDA re-saturation path");
     if (heads.empty()) return;
-    // O(dropped rules), never O(all rules): every rule is indexed under its
-    // from-state, so a dropped state's match lists enumerate exactly the
-    // rules to kill — the chain closure is a plain worklist over them.
-    std::vector<bool> drop(state_count(), false);
+    // O(dropped rules), never O(all rules) or O(states): every rule is
+    // indexed under its from-state, so a dropped state's match lists
+    // enumerate exactly the rules to kill — the chain closure is a plain
+    // worklist over them.
+    std::vector<bool> drop(_demand.size(), false);
     std::vector<StateId> dropped;
     dropped.reserve(heads.size());
+    const auto is_dropped = [&](StateId s) { return s < drop.size() && drop[s]; };
     const auto push_state = [&](StateId s) {
         AALWINES_ASSERT(s < state_count(), "invalidated state out of range");
-        if (drop[s]) return;
+        if (is_dropped(s)) return;
+        if (s >= drop.size()) drop.resize(s + 1, false);
         drop[s] = true;
         dropped.push_back(s);
     };
     for (const auto s : heads) push_state(s);
     std::vector<RuleId> dead;
-    std::vector<StateId> touched_targets;
     for (std::size_t i = 0; i < dropped.size(); ++i) { // grows during the loop
+        if (dropped[i] >= _match_by_state.size()) continue; // no rule leaves it
         auto& match = _match_by_state[dropped[i]];
         // Empty the lists in place: the list slots, the StateMatch entries,
         // and the (state, symbol) keys in _concrete_lists all survive, so a
         // provider re-emitting the identical per-state sequence lands in the
-        // same lists in the same order (with _next_rule_ord reset below this
+        // same lists in the same order (and, since the lists restart empty,
         // reproduces Rule::ord — the canonical-tie-break contract).
         const auto drain = [&](std::uint32_t list) {
             for (const auto id : _rule_lists[list]) {
                 const auto& rule = _rules[id];
                 dead.push_back(id);
-                if (!drop[rule.to] && owned(rule.to)) push_state(rule.to);
-                if (rule.op != Rule::OpKind::Pop) touched_targets.push_back(rule.to);
+                if (!is_dropped(rule.to) && owned(rule.to)) push_state(rule.to);
             }
             _rule_lists[list].clear();
         };
@@ -317,47 +303,36 @@ void Pda::invalidate_states(const std::vector<StateId>& heads,
     }
     std::size_t cleared = 0;
     for (const auto s : dropped) {
-        if (!_touched[s]) continue;
-        _touched[s] = false;
-        if (_materialized[s]) {
-            _materialized[s] = false;
+        if (!is_demanded(s)) continue;
+        auto& record = _demand[s];
+        record.touched = false;
+        if (record.materialized) {
+            record.materialized = false;
             --_full_count;
         }
         // Bumping the epoch clears every (s, label) demand mark at once.
-        _demanded_labels -= _labels_demanded[s];
-        _labels_demanded[s] = 0;
-        ++_demand_epoch[s];
+        _demanded_labels -= record.labels_demanded;
+        record.labels_demanded = 0;
+        ++record.epoch;
         --_demanded_count;
         ++cleared;
     }
-    // Tombstone the dead slots for reuse, then strip them from the touched
-    // per-target lists — one order-preserving pass per distinct target.  The
-    // scalar flag stays the provider's declared hint.
+    // Tombstone the dead slots for reuse and drop pre*'s target index, which
+    // lists them (the next pre* rebuilds it).  The scalar flag stays the
+    // provider's declared hint.
     for (const auto id : dead) {
         _dead_rules[id] = true;
         _free_rule_slots.push_back(id);
     }
-    std::sort(touched_targets.begin(), touched_targets.end());
-    touched_targets.erase(std::unique(touched_targets.begin(), touched_targets.end()),
-                          touched_targets.end());
-    for (const auto t : touched_targets) {
-        const auto strip = [&](std::vector<RuleId>& list) {
-            list.erase(std::remove_if(list.begin(), list.end(),
-                                      [&](RuleId id) { return _dead_rules[id]; }),
-                       list.end());
-        };
-        strip(_swaps_into[t]);
-        strip(_pushes_into[t]);
-    }
+    _target_index_ready = false;
     telemetry::count(telemetry::Counter::delta_states_invalidated, cleared);
 }
 
 Pda Pda::expand_concrete() const {
     materialize_all(); // the concrete copy is a whole-PDA pass
     Pda out(_alphabet_size);
-    for (StateId s = 0; s < state_count(); ++s) out.add_state();
-    for (Symbol s = 0; s < _symbol_classes.size(); ++s)
-        if (_symbol_classes[s] != k_no_class) out.set_symbol_class(s, _symbol_classes[s]);
+    out.add_states(state_count());
+    out.set_symbol_classes(_classes);
     for (RuleId id = 0; id < _rules.size(); ++id) {
         if (_dead_rules[id]) continue;
         const auto& rule = _rules[id];

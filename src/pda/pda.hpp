@@ -15,11 +15,10 @@
 // verification layer uses to map witness rule sequences back to forwarding
 // decisions.
 
-#include <array>
 #include <compare>
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "nfa/symbol_set.hpp"
@@ -39,6 +38,26 @@ inline constexpr Symbol k_same_symbol = UINT32_MAX - 1;
 
 using SymbolClass = std::uint8_t;
 inline constexpr SymbolClass k_no_class = 0xFF;
+
+/// A stack alphabet's symbol → class assignment with every class's member
+/// set, built once and immutable after: PDAs over one alphabet share one
+/// table (a translation adopts its snapshot's, see verify::TranslationIndex).
+class SymbolClasses {
+public:
+    /// `class_of[s]` is symbol s's class, k_no_class for none; symbols past
+    /// the end have none.
+    explicit SymbolClasses(std::vector<SymbolClass> class_of);
+
+    [[nodiscard]] SymbolClass class_of(Symbol symbol) const noexcept {
+        return symbol < _class_of.size() ? _class_of[symbol] : k_no_class;
+    }
+    /// All symbols of `cls`, as an include-set (empty for a memberless class).
+    [[nodiscard]] const nfa::SymbolSet& members(SymbolClass cls) const;
+
+private:
+    std::vector<SymbolClass> _class_of;
+    std::vector<nfa::SymbolSet> _members; ///< by class id; classes past the end are empty
+};
 
 /// Left-hand-side symbol specification of a rule.
 struct PreSpec {
@@ -126,41 +145,31 @@ public:
     }
 };
 
+/// State storage is sparse in the ids nobody touches: a state costs nothing
+/// until a rule leaves it or saturation demands it, and the per-state tables
+/// grow up to the highest such id.  A translation hands out its chain
+/// interiors in id order, so the ids a query touches are its control states
+/// plus a prefix of each interior pool range, whatever state_count() is.
 class Pda {
 public:
     /// `alphabet_size` is the stack-symbol universe [0, alphabet_size).
     explicit Pda(Symbol alphabet_size) : _alphabet_size(alphabet_size) {}
 
-    StateId add_state() {
-        add_states(1);
-        return static_cast<StateId>(_match_by_state.size() - 1);
-    }
-    /// Append `count` states at once (ids state_count() onwards).
-    void add_states(std::size_t count) {
-        const auto total = _match_by_state.size() + count;
-        _match_by_state.resize(total);
-        if (_provider != nullptr) {
-            // Keep the lazy bookkeeping in step (only legal while no rule
-            // references the new states yet — see RuleProvider contract).
-            _materialized.resize(total, false);
-            _touched.resize(total, false);
-            _labels_demanded.resize(total, 0);
-            _demand_epoch.resize(total, 0);
-            _swaps_into.resize(total);
-            _pushes_into.resize(total);
-        }
-    }
+    StateId add_state() { return static_cast<StateId>(_state_count++); }
+    /// Append `count` states at once (ids state_count() onwards); O(1).
+    void add_states(std::size_t count) { _state_count += count; }
 
-    /// Capacity hint for bulk construction (the translation knows its
-    /// control-state count exactly); purely an allocation-churn optimization.
-    void reserve_states(std::size_t count) { _match_by_state.reserve(count); }
-
-    /// Declare that `symbol` belongs to `cls` (default: no class).
-    void set_symbol_class(Symbol symbol, SymbolClass cls);
+    /// Adopt a symbol → class table (default: no symbol has a class).
+    void set_symbol_classes(std::shared_ptr<const SymbolClasses> classes) {
+        _classes = std::move(classes);
+    }
+    [[nodiscard]] const std::shared_ptr<const SymbolClasses>& symbol_classes() const noexcept {
+        return _classes;
+    }
 
     RuleId add_rule(Rule rule);
 
-    [[nodiscard]] std::size_t state_count() const noexcept { return _match_by_state.size(); }
+    [[nodiscard]] std::size_t state_count() const noexcept { return _state_count; }
     /// Live rules (excludes slots tombstoned by invalidate_states).
     [[nodiscard]] std::size_t rule_count() const noexcept {
         return _rules.size() - _free_rule_slots.size();
@@ -192,10 +201,10 @@ public:
     }
 
     [[nodiscard]] SymbolClass class_of(Symbol symbol) const {
-        return symbol < _symbol_classes.size() ? _symbol_classes[symbol] : k_no_class;
+        return _classes != nullptr ? _classes->class_of(symbol) : k_no_class;
     }
 
-    /// All symbols of one class, as an include-set (built lazily, cached).
+    /// All symbols of one class, as an include-set.
     [[nodiscard]] const nfa::SymbolSet& class_set(SymbolClass cls) const;
 
     /// The symbol set matched by a rule's PreSpec.
@@ -234,13 +243,16 @@ public:
     /// whole state, or some top labels of a label-granular one, including
     /// labels the state has no rules for (the answer "none" was read too).
     [[nodiscard]] bool is_demanded(StateId state) const {
-        return _provider == nullptr || _touched[state];
+        return _provider == nullptr || (state < _demand.size() && _demand[state].touched);
     }
 
-    /// Swap rules p γ → q γ' with q == `target`; built once per PDA (lazily,
-    /// invalidated by add_rule) instead of per pre* call.  Not
-    /// thread-safe on first use: saturate a shared PDA from one thread, or
-    /// call `build_target_index()` up front.
+    /// Swap rules p γ → q γ' with q == `target`, for pre*.  The index is
+    /// built whole by build_target_index — on a lazy PDA after
+    /// materialize_all(), since pre* needs every rule — and dropped by
+    /// add_rule and invalidate_states; post* never reads it, so a
+    /// demand-driven run never pays for it.  Not thread-safe on first use:
+    /// saturate a shared PDA from one thread, or call build_target_index()
+    /// up front.
     [[nodiscard]] const std::vector<RuleId>& swaps_into(StateId target) const {
         if (!_target_index_ready) build_target_index();
         return _swaps_into[target];
@@ -265,13 +277,12 @@ public:
     [[nodiscard]] Pda expand_concrete() const;
 
     /// Attach a demand-driven rule source and switch the PDA to lazy mode:
-    /// `for_each_applicable` materializes a state's rules on first use, and
-    /// the per-target swap/push index is filled incrementally as rules
-    /// arrive (so it is never rebuilt by a whole-PDA scan).  Must be called
-    /// after every state exists and before any rule.  `weights_scalar_hint`
-    /// pre-seeds `all_weights_scalar()` — the bucketed-worklist decision is
-    /// made before any rule has materialized, so the provider must declare
-    /// whether every rule it will ever emit carries a scalar weight.
+    /// `for_each_applicable` materializes a state's rules on first use.
+    /// Must be called after every state exists and before any rule.
+    /// `weights_scalar_hint` pre-seeds `all_weights_scalar()` — the
+    /// bucketed-worklist decision is made before any rule has materialized,
+    /// so the provider must declare whether every rule it will ever emit
+    /// carries a scalar weight.
     void set_rule_provider(RuleProvider* provider, bool weights_scalar_hint = true);
 
     [[nodiscard]] bool lazy() const noexcept { return _provider != nullptr; }
@@ -284,7 +295,8 @@ public:
     /// Demand every remaining state's rules (no-op without a provider).
     /// Logically const: materialization is memoized evaluation of the fixed
     /// rule set the provider denotes.  pre* and whole-PDA passes
-    /// (expand_concrete, structural validation) need every rule.
+    /// (expand_concrete, structural validation) need every rule.  The one
+    /// O(state_count()) pass of a lazy PDA.
     void materialize_all() const;
 
     /// States with demanded outgoing rules (is_demanded; == state_count()
@@ -312,6 +324,29 @@ private:
         std::vector<std::pair<SymbolClass, std::uint32_t>> classes;
         std::uint32_t any_list = UINT32_MAX;
     };
+    /// Lazy-mode demand bookkeeping of one state.
+    struct StateDemand {
+        std::uint32_t labels_demanded = 0; ///< granular: labels done
+        /// Granular: a (state, label) pair is demanded iff `_label_marks`
+        /// maps it to the state's current epoch; invalidate_states bumps
+        /// the epoch, which clears every mark of the state at once.
+        std::uint32_t epoch = 0;
+        bool materialized = false; ///< all outgoing rules exist
+        bool touched = false;      ///< is_demanded
+    };
+
+    /// The state's match index; nullptr while no rule leaves it.
+    [[nodiscard]] const StateMatch* match_of(StateId state) const noexcept {
+        return state < _match_by_state.size() ? &_match_by_state[state] : nullptr;
+    }
+    [[nodiscard]] bool materialized(StateId state) const noexcept {
+        return state < _demand.size() && _demand[state].materialized;
+    }
+    /// The state's demand record, created on first use.
+    StateDemand& demand_of(StateId state) const {
+        if (state >= _demand.size()) _demand.resize(state + 1);
+        return _demand[state];
+    }
 
     [[nodiscard]] static std::uint64_t concrete_key(StateId state, Symbol symbol) noexcept {
         return (static_cast<std::uint64_t>(state) << 32) | symbol;
@@ -322,10 +357,10 @@ private:
     /// top symbol(s) `label` needs, on first demand.  Must run before any
     /// such read of the state's match index.
     void ensure_materialized(StateId state, Symbol label) const {
-        if (_provider != nullptr && !_materialized[state]) demand(state, label);
+        if (_provider != nullptr && !materialized(state)) demand(state, label);
     }
     void ensure_materialized(StateId state, const nfa::SymbolSet& label) const {
-        if (_provider != nullptr && !_materialized[state]) demand(state, label);
+        if (_provider != nullptr && !materialized(state)) demand(state, label);
     }
     /// Slow paths of the above: label-granular states demand the matching
     /// labels (pure reads when all were demanded before), other states
@@ -336,7 +371,8 @@ private:
     void demand_label(StateId state, const std::vector<Symbol>& labels,
                       std::size_t index) const;
     [[nodiscard]] bool label_demanded(StateId state, Symbol label) const {
-        return _label_marks.find(concrete_key(state, label)) == _demand_epoch[state];
+        return state < _demand.size() &&
+               _label_marks.find(concrete_key(state, label)) == _demand[state].epoch;
     }
     void materialize_state(StateId state) const; ///< whole-state demand
     /// Flag `state` whole-materialized (first demand counts it).
@@ -345,28 +381,23 @@ private:
     void touch(StateId state) const;
 
     Symbol _alphabet_size;
+    std::size_t _state_count = 0;
     std::vector<Rule> _rules;
     std::vector<bool> _dead_rules; ///< aligned with _rules; true = tombstone
     std::vector<RuleId> _free_rule_slots; ///< dead slots awaiting reuse (LIFO)
     std::size_t _rules_added = 0; ///< monotone add_rule count (telemetry)
+    /// Up to the highest state a rule leaves (see match_of).
     std::vector<StateMatch> _match_by_state;
     util::FlatMap64 _concrete_lists; ///< (state, symbol) → id into _rule_lists
     std::vector<std::vector<RuleId>> _rule_lists;
-    std::vector<SymbolClass> _symbol_classes;
+    std::shared_ptr<const SymbolClasses> _classes;
     bool _all_weights_scalar = true;
-    mutable std::array<std::optional<nfa::SymbolSet>, 256> _class_sets;
     mutable bool _target_index_ready = false;
     mutable std::vector<std::vector<RuleId>> _swaps_into;
     mutable std::vector<std::vector<RuleId>> _pushes_into;
     RuleProvider* _provider = nullptr;
-    // Lazy-mode demand bookkeeping, per state unless noted.
-    mutable std::vector<bool> _materialized; ///< all outgoing rules exist
-    mutable std::vector<bool> _touched;      ///< is_demanded
-    mutable std::vector<std::uint32_t> _labels_demanded; ///< granular: labels done
-    /// Granular: a (state, label) pair is demanded iff `_label_marks` maps
-    /// it to the state's current epoch; invalidate_states bumps the epoch,
-    /// which clears every mark of the state at once.
-    mutable std::vector<std::uint32_t> _demand_epoch;
+    // Lazy-mode demand bookkeeping.
+    mutable std::vector<StateDemand> _demand; ///< up to the highest demanded state
     mutable util::FlatMap64 _label_marks;
     mutable std::size_t _demanded_count = 0; ///< states touched
     mutable std::size_t _full_count = 0;     ///< states with _materialized set
@@ -376,7 +407,9 @@ private:
 template <typename Fn>
 void Pda::for_each_applicable(StateId state, Symbol symbol, Fn&& fn) const {
     ensure_materialized(state, symbol);
-    const auto& match = _match_by_state[state];
+    const auto* state_match = match_of(state);
+    if (state_match == nullptr) return; // no rule leaves the state
+    const auto& match = *state_match;
     const bool has_class_rules = !match.classes.empty() && class_of(symbol) != k_no_class;
     const auto concrete_list = _concrete_lists.find(concrete_key(state, symbol));
     if (concrete_list == util::FlatMap64::k_npos && !has_class_rules &&
@@ -398,7 +431,9 @@ void Pda::for_each_applicable(StateId state, Symbol symbol, Fn&& fn) const {
 template <typename Fn>
 void Pda::for_each_applicable(StateId state, const nfa::SymbolSet& label, Fn&& fn) const {
     ensure_materialized(state, label);
-    const auto& match = _match_by_state[state];
+    const auto* state_match = match_of(state);
+    if (state_match == nullptr) return; // no rule leaves the state
+    const auto& match = *state_match;
     using Mode = nfa::SymbolSet::Mode;
     // Concrete-pre rules.
     if (label.mode() == Mode::Include && label.symbols().size() <= match.concrete.size()) {

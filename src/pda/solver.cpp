@@ -218,9 +218,9 @@ AALWINES_HOT_PATH void post_star_loop(PAutomaton& aut, const SolverOptions& opti
             ++stats.iterations;
             // Combination: ε(x→q) ∘ (q, L, q')  ⇒  (x, L, q').
             const EpsTransition eps_copy = eps;
-            const auto& outgoing = aut.transitions_from(eps_copy.to);
-            for (std::size_t i = 0; i < outgoing.size(); ++i) {
-                const TransId tid = outgoing[i];
+            // By index: inserting may move the automaton's edge storage.
+            for (std::size_t i = 0; i < aut.transitions_from(eps_copy.to).size(); ++i) {
+                const TransId tid = aut.transitions_from(eps_copy.to)[i];
                 const Transition trans = aut.transition(tid); // copy (relocation below)
                 if (!trans.finalized) continue;
                 auto [nid, improved] = aut.add_transition(
@@ -286,7 +286,8 @@ AALWINES_HOT_PATH void post_star_loop(PAutomaton& aut, const SolverOptions& opti
             }
 
             // Combination where this transition is the second component.
-            for (const auto eid : aut.epsilons_into(trans.from)) {
+            for (std::size_t i = 0; i < aut.epsilons_into(trans.from).size(); ++i) {
+                const auto eid = aut.epsilons_into(trans.from)[i];
                 const EpsTransition eps = aut.epsilon(eid);
                 if (!eps.finalized) continue;
                 auto [nid, improved] = aut.add_transition(
@@ -310,8 +311,8 @@ AALWINES_HOT_PATH void pre_star_loop(PAutomaton& aut, const SolverOptions& optio
     // Cached across calls on the same PDA.  pre* consumes rules by *target*
     // state and seeds every pop rule unconditionally below, so demand-driven
     // construction cannot skip work here: a lazy PDA falls back to full
-    // materialization (build_target_index materializes, and its per-target
-    // index was already filled incrementally by add_rule).
+    // materialization (build_target_index materializes, then indexes every
+    // rule once).
     pda.build_target_index();
 
     auto enqueue_trans = [&](TransId id) {
@@ -381,10 +382,10 @@ AALWINES_HOT_PATH void pre_star_loop(PAutomaton& aut, const SolverOptions& optio
                 const auto& rule = pda.rule(rule_id);
                 if (!trans.label.contains(rule.label1)) continue;
                 partials[trans.to].push_back({rule_id, item.id});
-                const auto& outgoing = aut.transitions_from(trans.to);
-                for (std::size_t i = 0; i < outgoing.size(); ++i) {
-                    if (aut.transition(outgoing[i]).finalized)
-                        try_complete(rule_id, item.id, outgoing[i]);
+                // By index: try_complete's inserts may move edge storage.
+                for (std::size_t i = 0; i < aut.transitions_from(trans.to).size(); ++i) {
+                    const auto tid = aut.transitions_from(trans.to)[i];
+                    if (aut.transition(tid).finalized) try_complete(rule_id, item.id, tid);
                 }
             }
         }
@@ -635,9 +636,17 @@ std::optional<AcceptedConfig> find_accepted_scalar(const PAutomaton& aut,
                                                    std::span<const StateId> starts,
                                                    const nfa::Nfa& stack_nfa,
                                                    Symbol domain, util::Arena& arena) {
+    // Product nodes are indexed by the automaton's dense numbering, so the
+    // table covers the states saturation touched, not the PDA's state space.
     const std::size_t n_nfa = stack_nfa.states().size();
-    const std::size_t n_product = aut.state_count() * n_nfa;
+    const std::size_t n_product = aut.dense_count() * n_nfa;
     const bool canonical = aut.canonical_tiebreaks();
+    const auto node_of = [&](StateId state, std::size_t nfa_state) {
+        return static_cast<std::uint32_t>(aut.dense_index(state) * n_nfa + nfa_state);
+    };
+    const auto state_of = [&](std::uint32_t node) {
+        return aut.state_of_dense(static_cast<std::uint32_t>(node / n_nfa));
+    };
     auto* nodes = arena.create_array<ScalarNode>(n_product);
     std::memset(static_cast<void*>(nodes), 0xFF, n_product * sizeof(ScalarNode));
 
@@ -648,7 +657,7 @@ std::optional<AcceptedConfig> find_accepted_scalar(const PAutomaton& aut,
 
     // Content key of a product node: (canonical automaton state, NFA state).
     auto prod_key = [&](std::uint32_t index) {
-        return std::pair(aut.canonical_state(static_cast<StateId>(index / n_nfa)),
+        return std::pair(aut.canonical_state(state_of(index)),
                          static_cast<std::uint32_t>(index % n_nfa));
     };
     // Canonical order on the (incoming step, predecessor) candidates of a
@@ -685,7 +694,7 @@ std::optional<AcceptedConfig> find_accepted_scalar(const PAutomaton& aut,
             cursor = info.parent;
         }
         std::reverse(config.path.begin(), config.path.end());
-        config.control_state = static_cast<StateId>(cursor / n_nfa);
+        config.control_state = state_of(cursor);
         Weight weight = Weight::one();
         if (config.leading_epsilon)
             weight = extend(weight, aut.epsilon(*config.leading_epsilon).weight);
@@ -695,9 +704,13 @@ std::optional<AcceptedConfig> find_accepted_scalar(const PAutomaton& aut,
         return config;
     };
 
+    // A state with no storage has no outgoing edges and is not final: a
+    // node on it would settle without successor or acceptance and be no
+    // one's parent, so it is never pushed (seq order among the rest holds).
     for (const auto start : starts) {
+        if (!aut.has_storage(start)) continue;
         for (const auto n0 : stack_nfa.initial()) {
-            const auto index = static_cast<std::uint32_t>(start * n_nfa + n0);
+            const auto index = node_of(start, n0);
             if (nodes[index].dist > 0) {
                 nodes[index].dist = 0;
                 nodes[index].hops = 0;
@@ -720,7 +733,7 @@ std::optional<AcceptedConfig> find_accepted_scalar(const PAutomaton& aut,
             continue; // stale
         const auto dist = item.dist;
         const auto hops = item.hops;
-        const auto a_state = static_cast<StateId>(item.node / n_nfa);
+        const auto a_state = state_of(item.node);
         const auto n_state = static_cast<std::uint32_t>(item.node % n_nfa);
 
         if (aut.is_final(a_state) && stack_nfa.states()[n_state].accepting) {
@@ -743,8 +756,7 @@ std::optional<AcceptedConfig> find_accepted_scalar(const PAutomaton& aut,
             for (const auto eps_id : aut.epsilons_from(a_state)) {
                 const auto& eps = aut.epsilon(eps_id);
                 if (!eps.finalized) continue;
-                const auto next_index =
-                    static_cast<std::uint32_t>(eps.to * n_nfa + n_state);
+                const auto next_index = node_of(eps.to, n_state);
                 const auto next_dist = saturating_add(dist, *eps.weight.as_scalar());
                 auto& next = nodes[next_index];
                 if (next_dist < next.dist ||
@@ -770,14 +782,14 @@ std::optional<AcceptedConfig> find_accepted_scalar(const PAutomaton& aut,
         for (const auto tid : aut.transitions_from(a_state)) {
             const auto& trans = aut.transition(tid);
             if (!trans.finalized) continue;
+            if (!aut.has_storage(trans.to)) continue;
             const auto trans_weight = *trans.weight.as_scalar();
             for (const auto& edge : stack_nfa.states()[n_state].edges) {
                 auto inter = trans.label.intersect(edge.symbols);
                 if (!inter) continue;
                 const auto symbol = inter->pick(domain);
                 if (!symbol) continue;
-                const auto next_index =
-                    static_cast<std::uint32_t>(trans.to * n_nfa + edge.target);
+                const auto next_index = node_of(trans.to, edge.target);
                 const auto next_dist = saturating_add(dist, trans_weight);
                 auto& next = nodes[next_index];
                 if (next_dist < next.dist ||
@@ -1016,7 +1028,7 @@ std::optional<AcceptedConfig> find_accepted(const PAutomaton& aut,
                                             const nfa::Nfa& stack_nfa, Symbol domain,
                                             SolverWorkspace* workspace) {
     AALWINES_SPAN("find_accepted");
-    const std::size_t n_product = aut.state_count() * stack_nfa.states().size();
+    const std::size_t n_product = aut.dense_count() * stack_nfa.states().size();
     if (aut.all_scalar_weights() && n_product > 0 && n_product <= k_flat_search_cap) {
         if (workspace != nullptr) {
             workspace->search.reset();

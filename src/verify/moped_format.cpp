@@ -3,6 +3,7 @@
 #include <charconv>
 #include <sstream>
 
+#include "util/check.hpp"
 #include "util/errors.hpp"
 
 namespace aalwines::verify {
@@ -101,14 +102,17 @@ pda::Pda parse_moped_format(std::string_view text) {
     const auto state_count = parse_uint(reader.token());
     const auto alphabet = static_cast<pda::Symbol>(parse_uint(reader.token()));
     pda::Pda pda(alphabet);
-    for (std::uint64_t i = 0; i < state_count; ++i) pda.add_state();
+    pda.add_states(state_count);
+    std::vector<pda::SymbolClass> classes;
 
     while (!reader.at_end()) {
         const auto keyword = reader.token();
         if (keyword == "class") {
             const auto symbol = static_cast<pda::Symbol>(parse_uint(reader.token()));
             const auto cls = static_cast<pda::SymbolClass>(parse_uint(reader.token()));
-            pda.set_symbol_class(symbol, cls);
+            AALWINES_ASSERT(symbol < alphabet, "symbol outside the stack alphabet");
+            if (classes.size() <= symbol) classes.resize(symbol + 1, pda::k_no_class);
+            classes[symbol] = cls;
         } else if (keyword == "rule") {
             pda::Rule rule;
             rule.from = static_cast<pda::StateId>(parse_uint(reader.token()));
@@ -136,6 +140,8 @@ pda::Pda parse_moped_format(std::string_view text) {
             throw parse_error("moped format: unknown keyword '" + std::string(keyword) + "'");
         }
     }
+    if (!classes.empty())
+        pda.set_symbol_classes(std::make_shared<const pda::SymbolClasses>(std::move(classes)));
     return pda;
 }
 

@@ -56,11 +56,20 @@ TopDescriptor below_of(LabelType type) {
 pda::SymbolClass class_id(LabelType type) { return static_cast<pda::SymbolClass>(type); }
 } // namespace
 
+LabelAlphabet::LabelAlphabet(const LabelTable& labels)
+    : label_count(labels.size()), valid_header(nfa::Nfa::compile(valid_header_regex(labels))) {
+    std::vector<pda::SymbolClass> class_of(labels.size());
+    for (Label label = 0; label < labels.size(); ++label)
+        class_of[label] = class_id(labels.type_of(label));
+    classes = std::make_shared<const pda::SymbolClasses>(std::move(class_of));
+}
+
 CompiledNfas compile_query_nfas(const Network& network, const query::Query& query) {
     AALWINES_SPAN("compile_query_nfas");
+    const auto index = TranslationIndex::of(network); // holds H, compiled per snapshot
+    const auto& header_nfa = index->alphabet().valid_header;
     CompiledNfas nfas;
     nfas.path = nfa::Nfa::compile(query.path);
-    const auto header_nfa = nfa::Nfa::compile(valid_header_regex(network.labels));
     nfas.initial_header =
         nfa::Nfa::intersection(nfa::Nfa::compile(query.initial_header), header_nfa);
     nfas.final_header =
@@ -88,18 +97,17 @@ Translation::Translation(const Network& network, const query::Query& query,
     if (_options.approximation == Approximation::Exact && _options.failed_links == nullptr)
         throw model_error("exact translation requires a concrete failure set");
 
-    _pda = std::make_unique<pda::Pda>(static_cast<pda::Symbol>(network.labels.size()));
-    for (Label label = 0; label < network.labels.size(); ++label)
-        _pda->set_symbol_class(label, class_id(network.labels.type_of(label)));
-
     _index = TranslationIndex::of(network);
+    _pda = std::make_unique<pda::Pda>(static_cast<pda::Symbol>(network.labels.size()));
+    _pda->set_symbol_classes(_index->alphabet().classes);
     build_control_states();
     build_move_index();
     {
         AALWINES_SPAN("size_interior_pool");
-        // Pre-allocate the chain-interior pool: materialization must never
-        // add PDA states (the P-automaton's helper states share the id
-        // space), so every interior the whole PDA has exists up front.  The
+        // Number the chain-interior pool: materialization must never add
+        // PDA states (the P-automaton's helper states share the id space),
+        // so every interior the whole PDA has gets its id up front (ids
+        // only: nothing is stored until an interior is handed out).  The
         // index's shapes are exact, which the equivalence tests pin down by
         // asserting the pool is fully consumed after materialize_all().
         std::size_t interiors = 0;
@@ -128,24 +136,23 @@ pda::StateId Translation::control_state(LinkId link, std::uint32_t nfa_state,
     return (failures * n_q + nfa_state) * n_links + link;
 }
 
+Translation::ControlInfo Translation::control_info(pda::StateId state) const {
+    if (state >= _control_count) return {k_invalid_id, 0, 0, true};
+    const auto n_links = static_cast<std::uint32_t>(_network->topology.link_count());
+    const auto n_q = static_cast<std::uint32_t>(_nfa_b.size());
+    const auto rest = state / n_links;
+    return {static_cast<LinkId>(state % n_links), rest % n_q, rest / n_q, false};
+}
+
 void Translation::build_control_states() {
     const auto n_links = _network->topology.link_count();
-    const auto n_control = _failure_slots * _nfa_b.size() * n_links;
-    _pda->reserve_states(n_control);
-    _control_info.reserve(n_control);
-    for (std::uint32_t f = 0; f < _failure_slots; ++f) {
-        for (std::uint32_t q = 0; q < _nfa_b.size(); ++q) {
-            for (std::uint32_t e = 0; e < n_links; ++e) {
-                const auto state = _pda->add_state();
-                AALWINES_ASSERT(state == control_state(e, q, f),
-                                "control state numbering out of sync");
-                (void)state;
-                _control_info.push_back({static_cast<LinkId>(e), q, f, false});
-                if (_nfa_b.states()[q].accepting)
+    _control_count = _failure_slots * _nfa_b.size() * n_links;
+    _pda->add_states(_control_count);
+    for (std::uint32_t f = 0; f < _failure_slots; ++f)
+        for (std::uint32_t q = 0; q < _nfa_b.size(); ++q)
+            if (_nfa_b.states()[q].accepting)
+                for (std::uint32_t e = 0; e < n_links; ++e)
                     _accepting_states.push_back(control_state(e, q, f));
-            }
-        }
-    }
     compute_initial_states();
 }
 
@@ -440,7 +447,6 @@ void Translation::grow_pool(std::size_t count) {
     if (count == 0) return;
     const auto begin = static_cast<pda::StateId>(_pda->state_count());
     _pda->add_states(count);
-    _control_info.resize(_control_info.size() + count, {k_invalid_id, 0, 0, true});
     _pools.emplace_back(begin, static_cast<pda::StateId>(_pda->state_count()));
 }
 
@@ -521,7 +527,7 @@ void Translation::materialize_state(pda::Pda& pda, pda::StateId state) {
 }
 
 const std::vector<pda::Symbol>* Translation::state_labels(pda::StateId state) const {
-    const auto& info = _control_info[state];
+    const auto info = control_info(state);
     // Every rule leaving a control state is the first rule of a chain, whose
     // precondition is the entry's label (walk_chain): label-granular.
     return info.chain ? nullptr : &_index->row(info.link).labels;
@@ -530,7 +536,7 @@ const std::vector<pda::Symbol>* Translation::state_labels(pda::StateId state) co
 void Translation::materialize_label(pda::Pda& pda, pda::StateId state, std::size_t index) {
     AALWINES_ASSERT(&pda == _pda.get(), "provider bound to a different PDA");
     (void)pda;
-    const auto& info = _control_info[state];
+    const auto info = control_info(state);
     const auto& row = _index->row(info.link);
     add_entry_rules(info.link, row.labels[index], *row.entries[index], info.nfa_state,
                     info.failures);
@@ -567,9 +573,8 @@ std::vector<char> Translation::affected_links(
 bool Translation::footprint_touches(const std::vector<bool>& dirty,
                                     const std::vector<bool>& behavior_dirty) const {
     const auto affected = affected_links(dirty, behavior_dirty);
-    const auto n_control = _failure_slots * _nfa_b.size() * _network->topology.link_count();
-    for (pda::StateId s = 0; s < n_control; ++s)
-        if (_pda->is_demanded(s) && affected[_control_info[s].link]) return true;
+    for (pda::StateId s = 0; s < _control_count; ++s)
+        if (_pda->is_demanded(s) && affected[control_info(s).link]) return true;
     return false;
 }
 
@@ -578,9 +583,8 @@ void Translation::add_to_footprint(LinkFootprint& fp) const {
     if (fp.materialized.size() < n_links) fp.materialized.resize(n_links, false);
     if (fp.out_links.size() < n_links) fp.out_links.resize(n_links, false);
     if (fp.initial.size() < n_links) fp.initial.resize(n_links, false);
-    const auto n_control = _failure_slots * _nfa_b.size() * n_links;
-    for (pda::StateId s = 0; s < n_control; ++s)
-        if (_pda->is_demanded(s)) fp.materialized[_control_info[s].link] = true;
+    for (pda::StateId s = 0; s < _control_count; ++s)
+        if (_pda->is_demanded(s)) fp.materialized[control_info(s).link] = true;
     // Only a materialized link's rules can be invalidated by an out-link
     // flip (the affected_links into-scan restricted to where it matters).
     for (LinkId l = 0; l < n_links; ++l)
@@ -604,11 +608,9 @@ void Translation::rebase(const Network& network, const std::vector<bool>& dirty,
     // The affected set can be computed against either snapshot's index:
     // for an unaffected link both hold identical rows.
     const auto affected = affected_links(dirty, behavior_dirty);
-    const auto n_control =
-        _failure_slots * _nfa_b.size() * _network->topology.link_count();
     std::vector<pda::StateId> heads;
-    for (pda::StateId s = 0; s < n_control; ++s)
-        if (_pda->is_demanded(s) && affected[_control_info[s].link]) heads.push_back(s);
+    for (pda::StateId s = 0; s < _control_count; ++s)
+        if (_pda->is_demanded(s) && affected[control_info(s).link]) heads.push_back(s);
 
     // Switch to the patched snapshot's index (carried over from the old one
     // when delta::apply_delta minted the snapshot).  Unaffected rows list
@@ -617,8 +619,7 @@ void Translation::rebase(const Network& network, const std::vector<bool>& dirty,
     const auto previous = std::exchange(_index, TranslationIndex::of(network));
     _network = &network;
 
-    _pda->invalidate_states(
-        heads, [this](pda::StateId s) { return _control_info[s].chain; });
+    _pda->invalidate_states(heads, [this](pda::StateId s) { return s >= _control_count; });
 
     // Re-sum the affected links against the new index; adjust the
     // whole-PDA total and grow the interior pool by their full new
@@ -660,7 +661,7 @@ void Translation::attach_header_nfa(pda::PAutomaton& aut, const nfa::Nfa& header
             add_edge(copy[i], edge.symbols, copy[edge.target], pda::Weight::one());
     for (const auto source : sources) {
         const auto entry_weight = weighted_entry
-                                      ? make_initial_weight(_control_info[source].link)
+                                      ? make_initial_weight(control_info(source).link)
                                       : pda::Weight::one();
         for (const auto q0 : header_nfa.initial())
             for (const auto& edge : header_nfa.states()[q0].edges)
@@ -736,7 +737,8 @@ std::shared_ptr<const TranslationIndex::Row> build_row(const Network& network, L
 
 } // namespace
 
-TranslationIndex::TranslationIndex(const Network& network) {
+TranslationIndex::TranslationIndex(const Network& network)
+    : _alphabet(std::make_shared<const LabelAlphabet>(network.labels)) {
     AALWINES_SPAN("build_translation_index");
     const auto n_links = network.topology.link_count();
     _rows.reserve(n_links);
@@ -793,11 +795,15 @@ void TranslationIndex::carry_over(const Network& base, const Network& next,
         index->_rows[link] = build_row(next, link);
         index->link_into(link, *index->_rows[link]);
     }
+    if (index->_alphabet->label_count != next.labels.size())
+        index->_alphabet = std::make_shared<const LabelAlphabet>(next.labels); // minted
     next.derived.store<TranslationIndex>(key, std::move(index));
 }
 
 bool TranslationIndex::operator==(const TranslationIndex& other) const {
-    if (_rows.size() != other._rows.size() || _links_into != other._links_into) return false;
+    if (_rows.size() != other._rows.size() || _links_into != other._links_into ||
+        _alphabet->label_count != other._alphabet->label_count)
+        return false;
     for (std::size_t l = 0; l < _rows.size(); ++l)
         if (_rows[l] != other._rows[l] && !(*_rows[l] == *other._rows[l])) return false;
     return true;
@@ -858,13 +864,11 @@ std::optional<Trace> Translation::witness_to_trace(const pda::PdaWitness& witnes
         return header;
     };
 
-    if (witness.initial_state >= _control_info.size() ||
-        _control_info[witness.initial_state].chain)
-        return std::nullopt;
+    if (witness.initial_state >= _control_count) return std::nullopt; // a chain interior
 
     Trace trace;
     trace.entries.push_back(
-        {_control_info[witness.initial_state].link, header_of(configs.front().second)});
+        {control_info(witness.initial_state).link, header_of(configs.front().second)});
 
     // Chain boundaries: the first rule of each forwarding chain carries a
     // tag; the chain's effect is complete right before the next tagged rule.

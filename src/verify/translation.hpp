@@ -32,7 +32,8 @@ enum class Approximation : std::uint8_t { Over, Under, Exact };
 /// Thompson → ε-elimination, plus two intersections with the valid-header
 /// language H) is independent of the approximation, so one verify() call
 /// compiles them once and shares them across the over/under dual passes —
-/// and across every scenario of the exact engine.
+/// and across every scenario of the exact engine.  H itself is compiled once
+/// per snapshot (LabelAlphabet).
 struct CompiledNfas {
     nfa::Nfa path;           ///< B, over links
     nfa::Nfa initial_header; ///< L(a) ∩ H, over labels
@@ -66,6 +67,18 @@ struct LinkFootprint {
     }
 };
 
+/// The label-alphabet data every translation of one snapshot shares: the
+/// compiled valid-header NFA H (compile_query_nfas intersects each header
+/// regex with it) and the label → stratum class table every translation's
+/// PDA adopts.  A function of the label table alone.
+struct LabelAlphabet {
+    explicit LabelAlphabet(const LabelTable& labels);
+
+    std::size_t label_count = 0;
+    nfa::Nfa valid_header; ///< H = mpls* smpls ip | ip, top-first
+    std::shared_ptr<const pda::SymbolClasses> classes;
+};
+
 /// The query-independent half of the network→PDA translation, computed once
 /// per network snapshot and memoized on it (Network::derived).  Per link it
 /// holds the label-sorted routing entries and the chain shapes of their
@@ -81,7 +94,9 @@ struct LinkFootprint {
 /// in-link and rules over a down out-link are left out, and a group's local
 /// failures count the distinct up out-links of the groups above it.  A
 /// what-if delta recomputes only the rows of the links it reaches (see
-/// carry_over); the rest are shared with the base snapshot's index.
+/// carry_over); the rest are shared with the base snapshot's index.  The
+/// index also carries the snapshot's LabelAlphabet (rebuilt when a delta
+/// mints a label, shared otherwise).
 class TranslationIndex {
 public:
     /// Chains of a link's eligible forwarding rules over one out-link with
@@ -115,9 +130,10 @@ public:
     /// entries changed (`entry_links`), the links whose up/down state
     /// flipped (`state_links`), and every link with a rule over a flipped
     /// one.  `next` must be a patched copy of `base` with the same link set
-    /// (a minted label is fine: it only appears in changed entries).  No-op
-    /// when `base` has no current index — the first query on `next` then
-    /// builds one — or when `next` already has one.
+    /// (a minted label is fine: it only appears in changed entries, and the
+    /// alphabet is rebuilt for the grown label table).  No-op when `base`
+    /// has no current index — the first query on `next` then builds one —
+    /// or when `next` already has one.
     static void carry_over(const Network& base, const Network& next,
                            const std::vector<LinkId>& entry_links,
                            const std::vector<LinkId>& state_links);
@@ -129,6 +145,7 @@ public:
     [[nodiscard]] const std::vector<LinkId>& links_into(LinkId out) const {
         return _links_into[out];
     }
+    [[nodiscard]] const LabelAlphabet& alphabet() const noexcept { return *_alphabet; }
 
     /// Content equality (rows compare entries by address: two indexes of
     /// one snapshot are equal iff they describe it identically).
@@ -139,6 +156,7 @@ private:
 
     std::vector<std::shared_ptr<const Row>> _rows; ///< shared across carried-over snapshots
     std::vector<std::vector<LinkId>> _links_into;
+    std::shared_ptr<const LabelAlphabet> _alphabet; ///< shared while no label is minted
 };
 
 struct TranslationOptions {
@@ -166,10 +184,14 @@ struct TranslationOptions {
 /// rules that can never fire are never built (this subsumes the paper's
 /// top-of-stack reduction).  Consumers of the whole PDA (pre*, the concrete
 /// expansion, structural validation) get every rule through
-/// Pda::materialize_all().  Chain-interior states are pre-allocated from an
+/// Pda::materialize_all().  Chain-interior states are numbered from an
 /// exactly-sized pool (sized from the snapshot's TranslationIndex), so the
 /// state space is fixed up front and the P-automaton can share the id space
-/// safely.
+/// safely.  Numbering is all the pool is: the PDA and the P-automaton store
+/// a state only once it is touched, and interiors are handed out in id
+/// order, so a query's storage covers the control states plus the prefix of
+/// the pool its demanded chains used.  A state's ControlInfo is computed
+/// from its id (control_info), never stored.
 class Translation : public pda::RuleProvider {
 public:
     Translation(const Network& network, const query::Query& query,
@@ -306,6 +328,9 @@ private:
         std::uint32_t local_failures = 0;
     };
 
+    /// (link, NFA state, failures) of a control state; every id past the
+    /// control range is a chain interior.  Inverse of control_state().
+    [[nodiscard]] ControlInfo control_info(pda::StateId state) const;
     void build_control_states();
     /// (Re)compute the post* source states from the path NFA's initial
     /// edges, excluding links a trace can never start on (administratively
@@ -369,7 +394,7 @@ private:
     std::uint32_t _failure_slots = 1; // k+1 for Under, 1 for Over
 
     std::unique_ptr<pda::Pda> _pda;
-    std::vector<ControlInfo> _control_info; // per PDA state
+    std::size_t _control_count = 0;         // control states: ids [0, count)
     std::vector<StepInfo> _steps;           // indexed by rule tag
     std::vector<pda::StateId> _accepting_states;
     std::vector<pda::StateId> _initial_states;
@@ -378,13 +403,16 @@ private:
     /// The snapshot's entries and chain shapes (RoutingEntry pointers stay
     /// stable: the routing table is const for the translation's lifetime).
     std::shared_ptr<const TranslationIndex> _index;
-    /// Chain-interior state pool: half-open [first, second) ranges consumed
-    /// in order.  Construction allocates one exactly-sized range; each
-    /// rebase appends a fresh (non-contiguous) range covering the affected
-    /// links' full new contribution — unconsumed slack telescopes, so the
-    /// pool always suffices while interiors of invalidated chains leak as
-    /// inert rule-less states (they only inflate the state count, never an
-    /// answer).  Materialization never adds PDA states mid-saturation.
+    /// Chain-interior state pool: half-open [first, second) id ranges
+    /// consumed in order.  Construction numbers one exactly-sized range;
+    /// each rebase appends a fresh (non-contiguous) range covering the
+    /// affected links' full new contribution — unconsumed slack telescopes,
+    /// so the pool always suffices while interiors of invalidated chains
+    /// leak as inert rule-less ids (they only inflate the state count,
+    /// never an answer).  A range is ids only (Pda::add_states is O(1)):
+    /// storage follows the ids handed out, so after a rebase it may span
+    /// the old range's unused slack.  Materialization never adds PDA states
+    /// mid-saturation.
     std::vector<std::pair<pda::StateId, pda::StateId>> _pools;
     std::size_t _pool_cursor = 0;
 };
@@ -442,7 +470,8 @@ private:
     std::unique_ptr<Translation> _under;
 };
 
-/// The valid-header language H = mpls* smpls ip | ip as a regex (top-first).
+/// The valid-header language H = mpls* smpls ip | ip as a regex (top-first);
+/// LabelAlphabet holds it compiled.
 [[nodiscard]] nfa::Regex valid_header_regex(const LabelTable& labels);
 
 } // namespace aalwines::verify

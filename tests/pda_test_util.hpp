@@ -5,6 +5,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <vector>
@@ -73,15 +74,20 @@ inline std::set<Config> brute_force_reachable(const Pda& pda,
     return seen;
 }
 
+/// Symbol classes by parity: class s % 2 for every symbol of [0, alphabet).
+inline std::shared_ptr<const SymbolClasses> parity_classes(Symbol alphabet) {
+    std::vector<SymbolClass> class_of(alphabet);
+    for (Symbol s = 0; s < alphabet; ++s) class_of[s] = static_cast<SymbolClass>(s % 2);
+    return std::make_shared<const SymbolClasses>(std::move(class_of));
+}
+
 /// Deterministically seeded random PDA over `alphabet` symbols and `states`
 /// control states, with optional per-rule scalar weights.
 inline Pda random_pda(std::mt19937_64& rng, StateId states, Symbol alphabet,
                       std::size_t rules, bool weighted, bool with_classes = true) {
     Pda pda(alphabet);
     for (StateId s = 0; s < states; ++s) pda.add_state();
-    if (with_classes)
-        for (Symbol s = 0; s < alphabet; ++s)
-            pda.set_symbol_class(s, static_cast<SymbolClass>(s % 2));
+    if (with_classes) pda.set_symbol_classes(parity_classes(alphabet));
     for (std::size_t i = 0; i < rules; ++i) {
         Rule rule;
         rule.from = static_cast<StateId>(rng() % states);

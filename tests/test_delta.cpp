@@ -326,6 +326,62 @@ TEST(DeltaApply, CarriesTheTranslationIndexOver) {
               nullptr);
 }
 
+/// The label-alphabet memo (the compiled valid-header NFA and the class
+/// table) rides on the translation index: a delta that mints labels gets an
+/// alphabet rebuilt for the grown label table, one that mints none shares
+/// the base's, and either way the carried snapshot answers byte-identically
+/// to a cold copy of it that builds everything afresh.
+TEST(DeltaApply, MintedLabelRebuildsTheAlphabetMemo) {
+    const auto base = synthesis::make_figure1_network();
+    const auto base_index = verify::TranslationIndex::of(base);
+    const auto minting = apply_delta(base, parse_delta(R"({"operations": [
+        {"op": "add-rule", "router": "v2", "from": "in1", "label": "999", "type": "smpls",
+         "to": "e5", "ops": [{"op": "swap", "label": "998", "type": "smpls"}]}]})"));
+    ASSERT_TRUE(minting.effects.label_added);
+    const auto& next = *minting.network;
+    const auto carried = next.derived.find<verify::TranslationIndex>(next.content_key());
+    ASSERT_NE(carried, nullptr);
+    const auto& alphabet = carried->alphabet();
+    EXPECT_NE(&alphabet, &base_index->alphabet());
+    EXPECT_EQ(alphabet.label_count, next.labels.size());
+    const auto s999 = *next.labels.find(LabelType::MplsBos, "999");
+    const auto ip1 = *next.labels.find(LabelType::Ip, "ip1");
+    EXPECT_EQ(alphabet.classes->class_of(s999),
+              static_cast<pda::SymbolClass>(LabelType::MplsBos));
+    EXPECT_TRUE(alphabet.valid_header.accepts(std::vector<nfa::Symbol>{s999, ip1}));
+
+    const auto editing = apply_delta(base, parse_delta(R"({"operations": [
+        {"op": "add-rule", "router": "v2", "from": "in1", "label": "20", "type": "smpls",
+         "to": "e5", "ops": [{"op": "pop"}]}]})"));
+    ASSERT_FALSE(editing.effects.label_added);
+    EXPECT_EQ(&verify::TranslationIndex::of(*editing.network)->alphabet(),
+              &base_index->alphabet());
+
+    Network cold = next;
+    cold.derived = SnapshotMemo(); // same content, nothing memoized
+    const std::vector<std::string> queries = {
+        "<s999 ip> [.#v2] .* <smpls? ip> 0",
+        "<smpls ip> .* <s998 ip> 1",
+        "<mpls* smpls? ip> .* <mpls* smpls? ip> 1",
+        k_fig1_yes,
+    };
+    const WeightExpr hops = parse_weight_expression("hops");
+    for (const auto& text : queries) {
+        for (const bool weighted : {false, true}) {
+            verify::VerifyOptions options;
+            if (weighted) {
+                options.engine = verify::EngineKind::Weighted;
+                options.weights = &hops;
+            }
+            const auto warm = verify::verify(next, query::parse_query(text, next), options);
+            const auto fresh = verify::verify(cold, query::parse_query(text, cold), options);
+            EXPECT_EQ(canonical(next, text, warm), canonical(cold, text, fresh))
+                << text << (weighted ? " weighted" : "");
+        }
+    }
+    EXPECT_NE(&verify::TranslationIndex::of(cold)->alphabet(), &alphabet);
+}
+
 // ---- the tiered re-verifier ------------------------------------------
 
 TEST(Reverifier, RepeatQueryIsReusedAndDeltasRebase) {

@@ -12,9 +12,8 @@ using pda::testutil::random_pda;
 TEST(MopedFormat, RoundTripsEveryRuleShape) {
     pda::Pda original(5);
     for (int i = 0; i < 3; ++i) original.add_state();
-    original.set_symbol_class(0, 0);
-    original.set_symbol_class(1, 1);
-    original.set_symbol_class(2, 0);
+    original.set_symbol_classes(
+        std::make_shared<const pda::SymbolClasses>(std::vector<pda::SymbolClass>{0, 1, 0}));
 
     original.add_rule({0, 1, pda::PreSpec::concrete(2), pda::Rule::OpKind::Swap, 3,
                        pda::k_no_symbol, pda::Weight::one(), 7});

@@ -8,6 +8,7 @@ namespace {
 using testutil::any_stack;
 using testutil::automaton_for_configs;
 using testutil::exact_word;
+using testutil::parity_classes;
 
 constexpr Symbol A = 0, B = 1, C = 2;
 
@@ -121,7 +122,7 @@ TEST(PostStar, ClassWildcardAfterPop) {
     // Rules modelling `pop o swap(C)` on an unknown revealed symbol of
     // class 0 (even symbols): p0 A -> p1 ε ; p1 [class0] -> p2 C.
     Pda pda(4);
-    for (Symbol s = 0; s < 4; ++s) pda.set_symbol_class(s, s % 2);
+    pda.set_symbol_classes(parity_classes(4));
     const auto p0 = pda.add_state();
     const auto p1 = pda.add_state();
     const auto p2 = pda.add_state();

@@ -7,6 +7,7 @@ namespace {
 
 using testutil::automaton_for_configs;
 using testutil::exact_word;
+using testutil::parity_classes;
 
 constexpr Symbol A = 0, B = 1, C = 2;
 
@@ -90,7 +91,7 @@ TEST(PreStar, ClassPreRulesYieldSetTransitions) {
     // p0 [class0] -> p1 B: pre* over target (p1, B) accepts (p0, s) for
     // every class-0 symbol s.
     Pda pda(4);
-    for (Symbol s = 0; s < 4; ++s) pda.set_symbol_class(s, s % 2);
+    pda.set_symbol_classes(parity_classes(4));
     const auto p0 = pda.add_state();
     const auto p1 = pda.add_state();
     pda.add_rule({p0, p1, PreSpec::of_class(0), Rule::OpKind::Swap, B, k_no_symbol,
@@ -107,7 +108,7 @@ TEST(PreStar, SameSymbolPushIntersectsPreClass) {
     // p0 [class0] -> p1 B <matched>: reaching (p1, B s A) for a class-0 s
     // requires starting from (p0, s A).
     Pda pda(4);
-    for (Symbol s = 0; s < 4; ++s) pda.set_symbol_class(s, s % 2);
+    pda.set_symbol_classes(parity_classes(4));
     const auto p0 = pda.add_state();
     const auto p1 = pda.add_state();
     pda.add_rule({p0, p1, PreSpec::of_class(0), Rule::OpKind::Push, B, k_same_symbol,

@@ -266,8 +266,7 @@ private:
 Pda lazy_twin(const Pda& source, ReplayProvider& provider) {
     Pda twin(source.alphabet_size());
     for (StateId s = 0; s < source.state_count(); ++s) twin.add_state();
-    for (Symbol s = 0; s < source.alphabet_size(); ++s)
-        if (source.class_of(s) != k_no_class) twin.set_symbol_class(s, source.class_of(s));
+    twin.set_symbol_classes(source.symbol_classes());
     twin.set_rule_provider(&provider, source.all_weights_scalar());
     return twin;
 }

@@ -263,6 +263,70 @@ TEST_F(TranslationFixture, LazyMaterializeAllMatchesEagerTotals) {
     }
 }
 
+/// pre* reads a per-target rule index that a demand-driven run never
+/// builds.  After post* has demanded part of the PDA, build_target_index
+/// materializes the rest — consuming the interior pool exactly — and its
+/// index equals one rebuilt from scratch over a provider-less copy of the
+/// same rules.  The demanded run's automaton stores only what it touched.
+TEST_F(TranslationFixture, PreStarTargetIndexEqualsFullRebuild) {
+    const std::vector<std::string> queries = {
+        "<ip> [.#v0] .* [v3#.] <ip> 0",
+        "<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 2",
+        "<mpls* smpls? ip> .* <mpls* smpls? ip> 1",
+    };
+    for (const auto& text : queries) {
+        const auto query = parse(text);
+        for (const auto approx : {Approximation::Over, Approximation::Under}) {
+            TranslationOptions options;
+            options.approximation = approx;
+            Translation translation(net, query, options);
+            auto& pda = translation.pda();
+            auto automaton = translation.make_initial_automaton();
+            (void)pda::post_star(automaton);
+            EXPECT_LE(automaton.dense_count(), automaton.state_count()) << text;
+
+            pda.build_target_index();
+            EXPECT_TRUE(pda.fully_materialized()) << text;
+            EXPECT_EQ(pda.rule_count(), translation.total_rules()) << text;
+            EXPECT_EQ(translation.interior_pool_unused(), 0u) << text;
+
+            pda::Pda copy(pda.alphabet_size());
+            copy.add_states(pda.state_count());
+            copy.set_symbol_classes(pda.symbol_classes());
+            for (pda::RuleId id = 0; id < pda.rule_slot_count(); ++id)
+                EXPECT_EQ(copy.add_rule(pda.rule(id)), id);
+            for (pda::StateId s = 0; s < pda.state_count(); ++s) {
+                EXPECT_EQ(pda.swaps_into(s), copy.swaps_into(s)) << text << " state " << s;
+                EXPECT_EQ(pda.pushes_into(s), copy.pushes_into(s)) << text << " state " << s;
+            }
+        }
+    }
+}
+
+/// A control state's (link, NFA state, failures) is computed from its id:
+/// the rules it demands leave exactly its link's entries, and every id
+/// past the control range is a chain interior without labels of its own.
+TEST_F(TranslationFixture, ControlInfoFollowsTheStateId) {
+    const auto query = parse("<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 2");
+    TranslationOptions options;
+    options.approximation = Approximation::Under;
+    Translation translation(net, query, options);
+    const auto n_links = net.topology.link_count();
+    std::size_t control = 0;
+    for (pda::StateId s = 0; s < translation.pda().state_count(); ++s) {
+        const auto* labels = translation.state_labels(s);
+        if (labels == nullptr) break; // interiors follow the control range
+        EXPECT_EQ(labels, &translation.index().row(s % n_links).labels) << s;
+        ++control;
+    }
+    // (failure slot, NFA state, link) with the link fastest: whole slots.
+    EXPECT_GT(control, 0u);
+    EXPECT_EQ(control % (n_links * (query.max_failures + 1)), 0u);
+    for (pda::StateId s = static_cast<pda::StateId>(control);
+         s < translation.pda().state_count(); ++s)
+        EXPECT_EQ(translation.state_labels(s), nullptr) << s;
+}
+
 /// Every rule leaving a control state gets the key the whole-PDA build
 /// gives it, whatever order its labels are demanded in (rule keys drive the
 /// weighted engine's canonical tie-breaks).
