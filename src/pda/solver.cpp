@@ -337,8 +337,11 @@ AALWINES_HOT_PATH void pre_star_loop(PAutomaton& aut, const SolverOptions& optio
 
     auto try_complete = [&](RuleId rule_id, TransId t1_id, TransId t2_id) {
         const auto& rule = pda.rule(rule_id);
-        const Transition t1 = aut.transition(t1_id);
-        const Transition t2 = aut.transition(t2_id);
+        // References, not copies (a copy allocates for a set label and a
+        // non-zero weight): add_transition may move the transitions, but
+        // its arguments are all computed before it runs.
+        const Transition& t1 = aut.transition(t1_id);
+        const Transition& t2 = aut.transition(t2_id);
         EdgeLabel new_label;
         if (rule.label2 == k_same_symbol) {
             auto inter = t2.label.intersect(pda.pre_set(rule.pre));
@@ -390,8 +393,9 @@ AALWINES_HOT_PATH void pre_star_loop(PAutomaton& aut, const SolverOptions& optio
             }
         }
         // This transition as the second written symbol of pending pushes.
-        const auto pending = partials[trans.from]; // copy: may grow during iteration
-        for (const auto& [rule_id, t1_id] : pending) try_complete(rule_id, t1_id, item.id);
+        // try_complete never adds a partial, so the list is stable here.
+        for (const auto& [rule_id, t1_id] : partials[trans.from])
+            try_complete(rule_id, t1_id, item.id);
 
         if (options.max_iterations != 0 && stats.iterations >= options.max_iterations) {
             stats.truncated = true;
